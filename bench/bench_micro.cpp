@@ -27,7 +27,6 @@
 #include "bench/legacy_cache.h"
 #include "bench/legacy_classifier.h"
 #include "bench/legacy_planner.h"
-#include "bench/legacy_simulator.h"
 #include "bench/replay_check.h"
 #include "common/random.h"
 #include "core/eco_storage_policy.h"
@@ -59,20 +58,6 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorScheduleRun);
-
-/// The PR-2 engine (bench/legacy_simulator.h): heap entries carry the
-/// std::function, so every sift moves it along with the key.
-void BM_SimulatorScheduleRunLegacy(benchmark::State& state) {
-  for (auto _ : state) {
-    legacy::LegacySimulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(i, [] {});
-    }
-    benchmark::DoNotOptimize(sim.RunAll());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorScheduleRunLegacy);
 
 void BM_CacheReadHit(benchmark::State& state) {
   storage::CacheConfig config;
@@ -1111,6 +1096,152 @@ ClassifyScaleCase RunClassifyScaleCase(int n_enclosures,
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Overhead gates: the identical eco replay with one instrument attached
+// vs without. The instrumented run must stay bit-identical AND within
+// kOverheadGatePct throughput.
+//
+// Wall-clock rates on this harness drift by several percent over a
+// --json run (frequency scaling, cache warming), so a single off/on pair
+// reports anywhere between -3% and +4% on a healthy build — and the old
+// take-the-smallest rule then published the most negative outlier (the
+// recorded -2.81% was pure noise). Each repetition therefore brackets
+// the instrumented run with two baseline runs (off-on-off): linear drift
+// cancels inside the bracket, and the published figure is the MEDIAN of
+// the repetitions — a real regression shifts the whole distribution,
+// residual noise only its tails.
+//
+// The raw median can still land slightly NEGATIVE on a healthy build (a
+// recorded -2.44% read as if attaching a recorder sped the replay up —
+// physically impossible, pure measurement noise). The published figure
+// is therefore clamped at the measured noise floor: the bracket's own
+// off-vs-off drift is the resolution of the harness, and any raw median
+// at or below that floor publishes as 0.00%. The raw median and every
+// per-pair delta are recorded alongside, and the one-sided gate stays on
+// the raw median.
+// ---------------------------------------------------------------------
+
+constexpr double kOverheadGatePct = 2.0;
+constexpr int kOverheadPairs = 5;
+
+struct OverheadFigure {
+  const char* name = "";  ///< gate name and BENCH_perf.json key
+  double off_rate = 0.0;
+  double on_rate = 0.0;
+  double overhead_pct = 0.0;      ///< raw median clamped at the noise floor
+  double overhead_pct_raw = 0.0;  ///< median of the bracketed repetitions
+  double noise_floor_pct = 0.0;   ///< median off-vs-off drift
+  std::vector<double> pair_pcts;  ///< per-repetition deltas, run order
+  uint64_t tally = 0;  ///< instrument count (events, windows, spans)
+  bool gate_failed = false;
+};
+
+/// Runs the bracketed median-of-five protocol. `off()` times the baseline
+/// replay; `on(&tally)` times the instrumented one and reports its
+/// instrument's count. A fingerprint that leaves the seed outcome exits
+/// at once; a failed gate is reported and flagged, so the caller can
+/// still publish every figure.
+template <typename Off, typename On>
+OverheadFigure MeasureOverhead(const char* name, uint64_t want_fingerprint,
+                               Off&& off, On&& on) {
+  struct Rep {
+    double overhead_pct;
+    double drift_pct;  ///< |off_before - off_after| / off_rate: noise
+    double off_rate;
+    double on_rate;
+    uint64_t tally;
+  };
+  OverheadFigure figure;
+  figure.name = name;
+  std::vector<Rep> reps;
+  reps.reserve(kOverheadPairs);
+  for (int attempt = 0; attempt < kOverheadPairs; ++attempt) {
+    Rep rep;
+    ReplayFigure off_before = off();
+    ReplayFigure on_run = on(&rep.tally);
+    ReplayFigure off_after = off();
+    if (on_run.fingerprint != want_fingerprint) {
+      std::fprintf(stderr,
+                   "BENCH_perf: %s: instrumented replay diverged from the "
+                   "seed outcome (fp %016llx want %016llx) — attaching the "
+                   "instrument changed the replay\n",
+                   name, static_cast<unsigned long long>(on_run.fingerprint),
+                   static_cast<unsigned long long>(want_fingerprint));
+      std::exit(1);
+    }
+    const double off_rate =
+        0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
+    rep.overhead_pct = (off_rate - on_run.lios_per_sec) / off_rate * 100.0;
+    rep.drift_pct =
+        std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
+        off_rate * 100.0;
+    rep.off_rate = off_rate;
+    rep.on_rate = on_run.lios_per_sec;
+    figure.pair_pcts.push_back(rep.overhead_pct);
+    reps.push_back(rep);
+  }
+  std::sort(reps.begin(), reps.end(), [](const Rep& a, const Rep& b) {
+    return a.overhead_pct < b.overhead_pct;
+  });
+  const Rep& median = reps[kOverheadPairs / 2];
+  figure.overhead_pct_raw = median.overhead_pct;
+  figure.off_rate = median.off_rate;
+  figure.on_rate = median.on_rate;
+  figure.tally = median.tally;
+  std::vector<double> drifts;
+  for (const Rep& rep : reps) drifts.push_back(rep.drift_pct);
+  std::sort(drifts.begin(), drifts.end());
+  figure.noise_floor_pct = drifts[kOverheadPairs / 2];
+  figure.overhead_pct = figure.overhead_pct_raw > figure.noise_floor_pct
+                            ? figure.overhead_pct_raw
+                            : 0.0;
+  figure.gate_failed = figure.overhead_pct_raw >= kOverheadGatePct;
+  if (figure.gate_failed) {
+    std::fprintf(stderr,
+                 "BENCH_perf: %s %.2f%% (median of %d bracketed "
+                 "repetitions) exceeds the %.1f%% budget (on %.0f vs off "
+                 "%.0f lios/s)\n",
+                 name, figure.overhead_pct_raw, kOverheadPairs,
+                 kOverheadGatePct, figure.on_rate, figure.off_rate);
+  }
+  return figure;
+}
+
+void WriteOverheadJson(std::FILE* out, const OverheadFigure& f,
+                       bool enabled, const char* tally_key) {
+  std::fprintf(out, "  \"%s\": {\n", f.name);
+  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
+  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
+  std::fprintf(out, "    \"enabled\": %s,\n", enabled ? "true" : "false");
+  std::fprintf(out, "    \"%s\": %llu,\n", tally_key,
+               static_cast<unsigned long long>(f.tally));
+  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", f.off_rate);
+  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", f.on_rate);
+  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", f.overhead_pct);
+  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n", f.overhead_pct_raw);
+  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n", f.noise_floor_pct);
+  std::fprintf(out, "    \"pair_overhead_pct\": [");
+  for (size_t i = 0; i < f.pair_pcts.size(); ++i) {
+    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", f.pair_pcts[i]);
+  }
+  std::fprintf(out, "],\n");
+  std::fprintf(out, "    \"statistic\": \"median\",\n");
+  std::fprintf(out, "    \"pairs\": %d,\n", kOverheadPairs);
+  std::fprintf(out, "    \"gate_pct\": %.1f\n", kOverheadGatePct);
+  std::fprintf(out, "  },\n");
+}
+
+void PrintOverhead(const OverheadFigure& f, const char* label,
+                   const char* tally_unit) {
+  std::printf("%s overhead (eco replay, %llu %s, median of %d bracketed "
+              "reps): on %.2fM vs off %.2fM lios/s = %.2f%% (raw %.2f%%, "
+              "noise floor %.2f%%, budget %.1f%%)\n",
+              label, static_cast<unsigned long long>(f.tally), tally_unit,
+              kOverheadPairs, f.on_rate / 1e6, f.off_rate / 1e6,
+              f.overhead_pct, f.overhead_pct_raw, f.noise_floor_pct,
+              kOverheadGatePct);
+}
+
 template <typename Fn>
 double MeasureEventsPerSec(int64_t events_per_call, Fn&& fn) {
   using Clock = std::chrono::steady_clock;
@@ -1129,8 +1260,11 @@ double MeasureEventsPerSec(int64_t events_per_call, Fn&& fn) {
 
 /// Measures every tracked figure and writes the BENCH_perf.json schema.
 /// Path precedence: `path_override` (the --json= flag) beats the
-/// ECOSTORE_BENCH_JSON env var beats "BENCH_perf.json".
-void WriteBenchPerfJson(const char* path_override) {
+/// ECOSTORE_BENCH_JSON env var beats "BENCH_perf.json". Returns the exit
+/// code: nonzero when an overhead gate failed (each is named on stderr
+/// after the file is written). Correctness disagreements exit at once
+/// without writing the file.
+int WriteBenchPerfJson(const char* path_override) {
   const FileServerPeriod& period = FileServerPeriod::Get();
   const auto events = static_cast<int64_t>(period.buffer.size());
   core::PatternClassifier classifier(
@@ -1160,39 +1294,9 @@ void WriteBenchPerfJson(const char* path_override) {
         options, period.buffer, period.catalog, 0, period.period_end));
   });
 
-  // Sanity: the POD-heap engine and the frozen PR-2 replica must execute
-  // the same schedule identically before their speeds are compared.
-  {
-    int64_t pod_fired = 0, legacy_fired = 0;
-    sim::Simulator pod;
-    legacy::LegacySimulator old_engine;
-    for (int i = 0; i < 100000; ++i) {
-      pod.ScheduleAt(i, [&] { pod_fired++; });
-      old_engine.ScheduleAt(i, [&] { legacy_fired++; });
-    }
-    int64_t pod_ran = pod.RunAll();
-    int64_t legacy_ran = old_engine.RunAll();
-    if (pod_fired != legacy_fired || pod_ran != legacy_ran ||
-        pod.Now() != old_engine.Now()) {
-      std::fprintf(stderr,
-                   "BENCH_perf: POD-heap and legacy simulator disagree "
-                   "(fired %lld/%lld ran %lld/%lld)\n",
-                   static_cast<long long>(pod_fired),
-                   static_cast<long long>(legacy_fired),
-                   static_cast<long long>(pod_ran),
-                   static_cast<long long>(legacy_ran));
-      std::exit(1);
-    }
-  }
-
   double sim_rate = MeasureEventsPerSec(100000, [] {
     sim::Simulator sim;
     sim.Reserve(100000);
-    for (int i = 0; i < 100000; ++i) sim.ScheduleAt(i, [] {});
-    benchmark::DoNotOptimize(sim.RunAll());
-  });
-  double sim_legacy_rate = MeasureEventsPerSec(100000, [] {
-    legacy::LegacySimulator sim;
     for (int i = 0; i < 100000; ++i) sim.ScheduleAt(i, [] {});
     benchmark::DoNotOptimize(sim.RunAll());
   });
@@ -1315,100 +1419,17 @@ void WriteBenchPerfJson(const char* path_override) {
     std::exit(1);
   }
 
-  // Telemetry overhead: the identical eco replay with a recorder attached
-  // (default class mask, the --telemetry configuration) vs without. The
-  // instrumented run must stay bit-identical AND within 2% throughput.
-  // Wall-clock rates on this harness drift by several percent over a
-  // --json run (frequency scaling, cache warming), so a single off/on
-  // pair reports anywhere between -3% and +4% on a healthy build — and
-  // the old take-the-smallest rule then published the most negative
-  // outlier (the recorded -2.81% was pure noise). Each repetition now
-  // brackets the instrumented run with two baseline runs (off-on-off):
-  // linear drift cancels inside the bracket, and the published figure is
-  // the MEDIAN of the repetitions — a real regression shifts the whole
-  // distribution, residual noise only its tails.
-  // The raw median can still land slightly NEGATIVE on a healthy build
-  // (the previously recorded -2.44% read as if attaching a recorder sped
-  // the replay up — physically impossible, pure measurement noise). The
-  // published figure is therefore clamped at the measured noise floor:
-  // the bracket's own off-vs-off drift tells us the resolution of the
-  // harness, and any raw median at or below that floor publishes as
-  // 0.00%. The raw median and every per-pair delta are recorded
-  // alongside, and the one-sided <2% gate stays on the raw median.
-  constexpr double kTelemetryGatePct = 2.0;
-  constexpr int kTelemetryPairs = 5;
-  double telemetry_off_rate = 0.0;
-  double telemetry_on_rate = 0.0;
-  double telemetry_overhead_pct = 0.0;
-  double telemetry_overhead_pct_raw = 0.0;
-  double telemetry_noise_floor_pct = 0.0;
-  std::vector<double> telemetry_pair_pcts;
-  uint64_t telemetry_recorded = 0;
-  {
-    struct OverheadRep {
-      double overhead_pct;
-      double drift_pct;  ///< |off_before - off_after| / off_rate: noise
-      double off_rate;
-      double on_rate;
-      uint64_t recorded;
-    };
-    std::vector<OverheadRep> reps;
-    reps.reserve(kTelemetryPairs);
-    for (int attempt = 0; attempt < kTelemetryPairs; ++attempt) {
-      telemetry::Recorder recorder;  // fresh rings per repetition
-      ReplayFigure off_before = MeasureReplayThroughput(true);
-      ReplayFigure on = MeasureReplayThroughput(true, &recorder);
-      ReplayFigure off_after = MeasureReplayThroughput(true);
-      if (on.fingerprint != kSeedReplayEcoFingerprint) {
-        std::fprintf(stderr,
-                     "BENCH_perf: telemetry-on replay diverged from the "
-                     "seed outcome (fp %016llx want %016llx)\n",
-                     static_cast<unsigned long long>(on.fingerprint),
-                     static_cast<unsigned long long>(
-                         kSeedReplayEcoFingerprint));
-        std::exit(1);
-      }
-      double off_rate =
-          0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
-      OverheadRep rep;
-      rep.overhead_pct = (off_rate - on.lios_per_sec) / off_rate * 100.0;
-      rep.drift_pct =
-          std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
-          off_rate * 100.0;
-      rep.off_rate = off_rate;
-      rep.on_rate = on.lios_per_sec;
-      rep.recorded = recorder.recorded();
-      telemetry_pair_pcts.push_back(rep.overhead_pct);
-      reps.push_back(rep);
-    }
-    std::sort(reps.begin(), reps.end(),
-              [](const OverheadRep& a, const OverheadRep& b) {
-                return a.overhead_pct < b.overhead_pct;
-              });
-    const OverheadRep& median = reps[kTelemetryPairs / 2];
-    telemetry_overhead_pct_raw = median.overhead_pct;
-    telemetry_off_rate = median.off_rate;
-    telemetry_on_rate = median.on_rate;
-    telemetry_recorded = median.recorded;
-    std::vector<double> drifts;
-    for (const OverheadRep& rep : reps) drifts.push_back(rep.drift_pct);
-    std::sort(drifts.begin(), drifts.end());
-    telemetry_noise_floor_pct = drifts[kTelemetryPairs / 2];
-    telemetry_overhead_pct =
-        telemetry_overhead_pct_raw > telemetry_noise_floor_pct
-            ? telemetry_overhead_pct_raw
-            : 0.0;
-    if (telemetry_overhead_pct_raw >= kTelemetryGatePct) {
-      std::fprintf(stderr,
-                   "BENCH_perf: telemetry overhead %.2f%% (median of %d "
-                   "bracketed repetitions) exceeds the %.1f%% budget "
-                   "(on %.0f vs off %.0f lios/s)\n",
-                   telemetry_overhead_pct_raw, kTelemetryPairs,
-                   kTelemetryGatePct, telemetry_on_rate,
-                   telemetry_off_rate);
-      std::exit(1);
-    }
-  }
+  // Telemetry overhead: the eco replay with a recorder attached (default
+  // class mask, the --telemetry configuration) vs without.
+  const OverheadFigure telemetry_overhead = MeasureOverhead(
+      "telemetry_overhead", kSeedReplayEcoFingerprint,
+      [] { return MeasureReplayThroughput(true); },
+      [](uint64_t* tally) {
+        telemetry::Recorder recorder;  // fresh rings per repetition
+        ReplayFigure on = MeasureReplayThroughput(true, &recorder);
+        *tally = recorder.recorded();
+        return on;
+      });
 
   // Live-ledger overhead: the instrumented eco replay with the streaming
   // pipeline attached (StreamDispatcher + RollingSummary folding 1-minute
@@ -1416,169 +1437,40 @@ void WriteBenchPerfJson(const char* path_override) {
   // same replay with only the recorder. Both arms construct their
   // instruments fresh inside every timed run, so the delta isolates the
   // consumer: the per-window recorder pumps, the incremental ledger fold
-  // and the window closes. Same bracketed median-of-five protocol and
-  // the same clamp-at-noise-floor reporting as the telemetry gate.
-  constexpr double kLiveLedgerGatePct = 2.0;
-  double live_off_rate = 0.0;
-  double live_on_rate = 0.0;
-  double live_overhead_pct = 0.0;
-  double live_overhead_pct_raw = 0.0;
-  double live_noise_floor_pct = 0.0;
-  std::vector<double> live_pair_pcts;
-  int64_t live_windows = 0;
-  {
-    struct OverheadRep {
-      double overhead_pct;
-      double drift_pct;
-      double off_rate;
-      double on_rate;
-      int64_t windows;
-    };
-    std::vector<OverheadRep> reps;
-    reps.reserve(kTelemetryPairs);
-    for (int attempt = 0; attempt < kTelemetryPairs; ++attempt) {
-      ReplayFigure off_before = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kLiveRecorder);
-      ReplayFigure on = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kLiveConsumer);
-      ReplayFigure off_after = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kLiveRecorder);
-      if (on.fingerprint != kSeedReplayEcoFingerprint) {
-        std::fprintf(stderr,
-                     "BENCH_perf: live-consumer replay diverged from the "
-                     "seed outcome (fp %016llx want %016llx) — attaching "
-                     "the streaming pipeline changed the replay\n",
-                     static_cast<unsigned long long>(on.fingerprint),
-                     static_cast<unsigned long long>(
-                         kSeedReplayEcoFingerprint));
-        std::exit(1);
-      }
-      if (telemetry::Recorder::kEnabled && on.rolling_windows <= 0) {
-        std::fprintf(stderr,
-                     "BENCH_perf: live consumer closed no rolling windows "
-                     "— the stream pump is not wired\n");
-        std::exit(1);
-      }
-      double off_rate =
-          0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
-      OverheadRep rep;
-      rep.overhead_pct = (off_rate - on.lios_per_sec) / off_rate * 100.0;
-      rep.drift_pct =
-          std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
-          off_rate * 100.0;
-      rep.off_rate = off_rate;
-      rep.on_rate = on.lios_per_sec;
-      rep.windows = on.rolling_windows;
-      live_pair_pcts.push_back(rep.overhead_pct);
-      reps.push_back(rep);
-    }
-    std::sort(reps.begin(), reps.end(),
-              [](const OverheadRep& a, const OverheadRep& b) {
-                return a.overhead_pct < b.overhead_pct;
-              });
-    const OverheadRep& median = reps[kTelemetryPairs / 2];
-    live_overhead_pct_raw = median.overhead_pct;
-    live_off_rate = median.off_rate;
-    live_on_rate = median.on_rate;
-    live_windows = median.windows;
-    std::vector<double> drifts;
-    for (const OverheadRep& rep : reps) drifts.push_back(rep.drift_pct);
-    std::sort(drifts.begin(), drifts.end());
-    live_noise_floor_pct = drifts[kTelemetryPairs / 2];
-    live_overhead_pct = live_overhead_pct_raw > live_noise_floor_pct
-                            ? live_overhead_pct_raw
-                            : 0.0;
-    if (live_overhead_pct_raw >= kLiveLedgerGatePct) {
-      std::fprintf(stderr,
-                   "BENCH_perf: live-ledger overhead %.2f%% (median of %d "
-                   "bracketed repetitions) exceeds the %.1f%% budget "
-                   "(on %.0f vs off %.0f lios/s)\n",
-                   live_overhead_pct_raw, kTelemetryPairs,
-                   kLiveLedgerGatePct, live_on_rate, live_off_rate);
-      std::exit(1);
-    }
-  }
+  // and the window closes.
+  const OverheadFigure live_overhead = MeasureOverhead(
+      "live_ledger_overhead", kSeedReplayEcoFingerprint,
+      [] {
+        return MeasureReplayThroughput(true, nullptr,
+                                       ReplayInstrument::kLiveRecorder);
+      },
+      [](uint64_t* tally) {
+        ReplayFigure on = MeasureReplayThroughput(
+            true, nullptr, ReplayInstrument::kLiveConsumer);
+        if (telemetry::Recorder::kEnabled && on.rolling_windows <= 0) {
+          std::fprintf(stderr,
+                       "BENCH_perf: live consumer closed no rolling windows "
+                       "— the stream pump is not wired\n");
+          std::exit(1);
+        }
+        *tally = static_cast<uint64_t>(on.rolling_windows);
+        return on;
+      });
 
-  // Profile overhead: the identical eco replay with a wall-clock phase
-  // profiler attached (the --profile configuration) vs without, under
-  // the telemetry gate's bracketed median-of-five protocol with the
-  // clamp-at-noise-floor reporting. The profiled run must also stay
-  // bit-identical: the profiler only reads the wall clock and writes
-  // its own per-thread rings, and this gate proves it.
-  constexpr double kProfileGatePct = 2.0;
-  double profile_off_rate = 0.0;
-  double profile_on_rate = 0.0;
-  double profile_overhead_pct = 0.0;
-  double profile_overhead_pct_raw = 0.0;
-  double profile_noise_floor_pct = 0.0;
-  std::vector<double> profile_pair_pcts;
-  uint64_t profile_spans_recorded = 0;
-  {
-    struct OverheadRep {
-      double overhead_pct;
-      double drift_pct;
-      double off_rate;
-      double on_rate;
-      uint64_t spans;
-    };
-    std::vector<OverheadRep> reps;
-    reps.reserve(kTelemetryPairs);
-    for (int attempt = 0; attempt < kTelemetryPairs; ++attempt) {
-      telemetry::profile::Profiler profiler;  // fresh rings per repetition
-      ReplayFigure off_before = MeasureReplayThroughput(true);
-      ReplayFigure on = MeasureReplayThroughput(
-          true, nullptr, ReplayInstrument::kPassedRecorder, &profiler);
-      ReplayFigure off_after = MeasureReplayThroughput(true);
-      if (on.fingerprint != kSeedReplayEcoFingerprint) {
-        std::fprintf(stderr,
-                     "BENCH_perf: profiled replay diverged from the seed "
-                     "outcome (fp %016llx want %016llx) — attaching the "
-                     "profiler changed the replay\n",
-                     static_cast<unsigned long long>(on.fingerprint),
-                     static_cast<unsigned long long>(
-                         kSeedReplayEcoFingerprint));
-        std::exit(1);
-      }
-      double off_rate =
-          0.5 * (off_before.lios_per_sec + off_after.lios_per_sec);
-      OverheadRep rep;
-      rep.overhead_pct = (off_rate - on.lios_per_sec) / off_rate * 100.0;
-      rep.drift_pct =
-          std::abs(off_before.lios_per_sec - off_after.lios_per_sec) /
-          off_rate * 100.0;
-      rep.off_rate = off_rate;
-      rep.on_rate = on.lios_per_sec;
-      rep.spans = profiler.recorded();
-      profile_pair_pcts.push_back(rep.overhead_pct);
-      reps.push_back(rep);
-    }
-    std::sort(reps.begin(), reps.end(),
-              [](const OverheadRep& a, const OverheadRep& b) {
-                return a.overhead_pct < b.overhead_pct;
-              });
-    const OverheadRep& median = reps[kTelemetryPairs / 2];
-    profile_overhead_pct_raw = median.overhead_pct;
-    profile_off_rate = median.off_rate;
-    profile_on_rate = median.on_rate;
-    profile_spans_recorded = median.spans;
-    std::vector<double> drifts;
-    for (const OverheadRep& rep : reps) drifts.push_back(rep.drift_pct);
-    std::sort(drifts.begin(), drifts.end());
-    profile_noise_floor_pct = drifts[kTelemetryPairs / 2];
-    profile_overhead_pct =
-        profile_overhead_pct_raw > profile_noise_floor_pct
-            ? profile_overhead_pct_raw
-            : 0.0;
-    if (profile_overhead_pct_raw >= kProfileGatePct) {
-      std::fprintf(stderr,
-                   "BENCH_perf: profile overhead %.2f%% (median of %d "
-                   "bracketed repetitions) exceeds the %.1f%% budget "
-                   "(on %.0f vs off %.0f lios/s)\n",
-                   profile_overhead_pct_raw, kTelemetryPairs,
-                   kProfileGatePct, profile_on_rate, profile_off_rate);
-      std::exit(1);
-    }
-  }
+  // Profile overhead: the eco replay with a wall-clock phase profiler
+  // attached (the --profile configuration) vs without. The profiler only
+  // reads the wall clock and writes its own per-thread rings, and the
+  // fingerprint check proves it.
+  const OverheadFigure profile_overhead = MeasureOverhead(
+      "profile_overhead", kSeedReplayEcoFingerprint,
+      [] { return MeasureReplayThroughput(true); },
+      [](uint64_t* tally) {
+        telemetry::profile::Profiler profiler;  // fresh rings per repetition
+        ReplayFigure on = MeasureReplayThroughput(
+            true, nullptr, ReplayInstrument::kPassedRecorder, &profiler);
+        *tally = profiler.recorded();
+        return on;
+      });
 
   // Shard-scaling figure: S=1 vs S=8 on the 120-enclosure run, gated on
   // both shard counts producing the same simulated outcome (integer
@@ -1631,7 +1523,7 @@ void WriteBenchPerfJson(const char* path_override) {
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "BENCH_perf: cannot write %s\n", path);
-    return;
+    return 1;
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"bench_micro\",\n");
@@ -1724,75 +1616,12 @@ void WriteBenchPerfJson(const char* path_override) {
   }
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"telemetry_overhead\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::Recorder::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"events_recorded\": %llu,\n",
-               static_cast<unsigned long long>(telemetry_recorded));
-  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", telemetry_off_rate);
-  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", telemetry_on_rate);
-  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", telemetry_overhead_pct);
-  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n",
-               telemetry_overhead_pct_raw);
-  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n",
-               telemetry_noise_floor_pct);
-  std::fprintf(out, "    \"pair_overhead_pct\": [");
-  for (size_t i = 0; i < telemetry_pair_pcts.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", telemetry_pair_pcts[i]);
-  }
-  std::fprintf(out, "],\n");
-  std::fprintf(out, "    \"statistic\": \"median\",\n");
-  std::fprintf(out, "    \"pairs\": %d,\n", kTelemetryPairs);
-  std::fprintf(out, "    \"gate_pct\": %.1f\n", kTelemetryGatePct);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"live_ledger_overhead\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::Recorder::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"rolling_windows\": %lld,\n",
-               static_cast<long long>(live_windows));
-  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", live_off_rate);
-  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", live_on_rate);
-  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", live_overhead_pct);
-  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n",
-               live_overhead_pct_raw);
-  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n",
-               live_noise_floor_pct);
-  std::fprintf(out, "    \"pair_overhead_pct\": [");
-  for (size_t i = 0; i < live_pair_pcts.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", live_pair_pcts[i]);
-  }
-  std::fprintf(out, "],\n");
-  std::fprintf(out, "    \"statistic\": \"median\",\n");
-  std::fprintf(out, "    \"pairs\": %d,\n", kTelemetryPairs);
-  std::fprintf(out, "    \"gate_pct\": %.1f\n", kLiveLedgerGatePct);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"profile_overhead\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::profile::Profiler::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"spans_recorded\": %llu,\n",
-               static_cast<unsigned long long>(profile_spans_recorded));
-  std::fprintf(out, "    \"off_lios_per_sec\": %.0f,\n", profile_off_rate);
-  std::fprintf(out, "    \"on_lios_per_sec\": %.0f,\n", profile_on_rate);
-  std::fprintf(out, "    \"overhead_pct\": %.2f,\n", profile_overhead_pct);
-  std::fprintf(out, "    \"overhead_pct_raw\": %.2f,\n",
-               profile_overhead_pct_raw);
-  std::fprintf(out, "    \"noise_floor_pct\": %.2f,\n",
-               profile_noise_floor_pct);
-  std::fprintf(out, "    \"pair_overhead_pct\": [");
-  for (size_t i = 0; i < profile_pair_pcts.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", profile_pair_pcts[i]);
-  }
-  std::fprintf(out, "],\n");
-  std::fprintf(out, "    \"statistic\": \"median\",\n");
-  std::fprintf(out, "    \"pairs\": %d,\n", kTelemetryPairs);
-  std::fprintf(out, "    \"gate_pct\": %.1f\n", kProfileGatePct);
-  std::fprintf(out, "  },\n");
+  WriteOverheadJson(out, telemetry_overhead, telemetry::Recorder::kEnabled,
+                    "events_recorded");
+  WriteOverheadJson(out, live_overhead, telemetry::Recorder::kEnabled,
+                    "rolling_windows");
+  WriteOverheadJson(out, profile_overhead,
+                    telemetry::profile::Profiler::kEnabled, "spans_recorded");
   std::fprintf(out, "  \"planner_scale\": {\n");
   std::fprintf(out, "    \"cases\": [\n");
   const PlannerScaleCase* planner_cases[] = {&planner_small, &planner_large};
@@ -1838,10 +1667,6 @@ void WriteBenchPerfJson(const char* path_override) {
                sim_rate);
   std::fprintf(out, "  \"simulator_seed_schedule_events_per_sec\": %.0f,\n",
                kSeedSimulatorEventsPerSec);
-  std::fprintf(out, "  \"simulator_legacy_schedule_events_per_sec\": %.0f,\n",
-               sim_legacy_rate);
-  std::fprintf(out, "  \"simulator_schedule_speedup_vs_legacy\": %.2f,\n",
-               sim_rate / sim_legacy_rate);
   std::fprintf(out, "  \"simulator_cancel_heavy_events_per_sec\": %.0f\n",
                sim_cancel_rate);
   std::fprintf(out, "}\n");
@@ -1870,30 +1695,9 @@ void WriteBenchPerfJson(const char* path_override) {
               host_cpus, shard8.lios_per_sec / 1e6,
               shard1.lios_per_sec / 1e6,
               shard8.lios_per_sec / shard1.lios_per_sec);
-  std::printf("telemetry overhead (eco replay, %llu events/run, median "
-              "of %d bracketed reps): on %.2fM vs off %.2fM lios/s = "
-              "%.2f%% (raw %.2f%%, noise floor %.2f%%, budget %.1f%%)\n",
-              static_cast<unsigned long long>(telemetry_recorded),
-              kTelemetryPairs, telemetry_on_rate / 1e6,
-              telemetry_off_rate / 1e6, telemetry_overhead_pct,
-              telemetry_overhead_pct_raw, telemetry_noise_floor_pct,
-              kTelemetryGatePct);
-  std::printf("live-ledger overhead (eco replay, %lld rolling windows, "
-              "median of %d bracketed reps): on %.2fM vs off %.2fM "
-              "lios/s = %.2f%% (raw %.2f%%, noise floor %.2f%%, budget "
-              "%.1f%%)\n",
-              static_cast<long long>(live_windows), kTelemetryPairs,
-              live_on_rate / 1e6, live_off_rate / 1e6, live_overhead_pct,
-              live_overhead_pct_raw, live_noise_floor_pct,
-              kLiveLedgerGatePct);
-  std::printf("profile overhead (eco replay, %llu spans/run, median of "
-              "%d bracketed reps): on %.2fM vs off %.2fM lios/s = "
-              "%.2f%% (raw %.2f%%, noise floor %.2f%%, budget %.1f%%)\n",
-              static_cast<unsigned long long>(profile_spans_recorded),
-              kTelemetryPairs, profile_on_rate / 1e6,
-              profile_off_rate / 1e6, profile_overhead_pct,
-              profile_overhead_pct_raw, profile_noise_floor_pct,
-              kProfileGatePct);
+  PrintOverhead(telemetry_overhead, "telemetry", "events/run");
+  PrintOverhead(live_overhead, "live-ledger", "rolling windows");
+  PrintOverhead(profile_overhead, "profile", "spans/run");
   std::printf("sharded profile (S=8, %zu lanes): busy max/mean imbalance "
               "%.2f, barrier wait %.1f ms, merge %.1f ms, period ends "
               "%.1f ms over %lld epochs\n",
@@ -1928,11 +1732,19 @@ void WriteBenchPerfJson(const char* path_override) {
               static_cast<double>(classify_scale.trace_bytes) /
                   (1024.0 * 1024.0),
               static_cast<long long>(classify_scale.migrations));
-  std::printf("simulator: schedule+run %.2fM ev/s (seed %.2fM, legacy "
-              "%.2fM, %.2fx), cancel-heavy %.2fM ev/s -> %s\n",
+  std::printf("simulator: schedule+run %.2fM ev/s (seed %.2fM), "
+              "cancel-heavy %.2fM ev/s -> %s\n",
               sim_rate / 1e6, kSeedSimulatorEventsPerSec / 1e6,
-              sim_legacy_rate / 1e6, sim_rate / sim_legacy_rate,
               sim_cancel_rate / 1e6, path);
+
+  int failed = 0;
+  for (const OverheadFigure* f :
+       {&telemetry_overhead, &live_overhead, &profile_overhead}) {
+    if (!f->gate_failed) continue;
+    std::fprintf(stderr, "BENCH_perf: overhead gate failed: %s\n", f->name);
+    failed++;
+  }
+  return failed == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -1979,9 +1791,8 @@ int main(int argc, char** argv) {
     return ecostore::bench::ReplayCheckMain(golden_path, record, shards);
   }
   if (json_only) {
-    ecostore::WriteBenchPerfJson(json_path.empty() ? nullptr
-                                                   : json_path.c_str());
-    return 0;
+    return ecostore::WriteBenchPerfJson(json_path.empty() ? nullptr
+                                                          : json_path.c_str());
   }
   if (replay_only) {
     ecostore::telemetry::profile::Profiler profiler;
@@ -2036,6 +1847,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  ecostore::WriteBenchPerfJson(nullptr);
-  return 0;
+  return ecostore::WriteBenchPerfJson(nullptr);
 }

@@ -2,6 +2,7 @@
 #define ECOSTORE_COMMON_SIM_TIME_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace ecostore {
@@ -30,6 +31,22 @@ inline constexpr double ToSeconds(SimDuration d) {
 /// Converts fractional seconds to a duration (rounds toward zero).
 inline constexpr SimDuration FromSeconds(double seconds) {
   return static_cast<SimDuration>(seconds * static_cast<double>(kSecond));
+}
+
+/// a + b and a - b clamped to the SimDuration range, for arithmetic on
+/// times read from outside the program: a capture may stamp events
+/// anywhere in the int64 range, where plain signed overflow is undefined.
+inline SimDuration SaturatingAdd(SimDuration a, SimDuration b) {
+  SimDuration out;
+  if (!__builtin_add_overflow(a, b, &out)) return out;
+  return b > 0 ? std::numeric_limits<SimDuration>::max()
+               : std::numeric_limits<SimDuration>::min();
+}
+inline SimDuration SaturatingSub(SimDuration a, SimDuration b) {
+  SimDuration out;
+  if (!__builtin_sub_overflow(a, b, &out)) return out;
+  return b < 0 ? std::numeric_limits<SimDuration>::max()
+               : std::numeric_limits<SimDuration>::min();
 }
 
 /// Renders a duration as a compact human-readable string, e.g. "1.5s",

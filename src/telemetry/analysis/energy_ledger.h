@@ -129,7 +129,9 @@ struct EnergyLedger {
 
 /// Builds the ledger from a time-ordered event stream. `meta` must carry
 /// the power model (has_power_model); otherwise only the stream tallies
-/// are filled.
+/// are filled. This is IncrementalEnergyLedger (incremental_ledger.h)
+/// folded over the whole capture, so the batch and live ledgers share
+/// one walk.
 EnergyLedger BuildLedger(const ExportMeta& meta,
                          const std::vector<Event>& events);
 

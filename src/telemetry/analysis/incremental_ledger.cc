@@ -36,8 +36,10 @@ void IncrementalEnergyLedger::Finish(const StreamFinal& final) {
 void IncrementalEnergyLedger::ProbeWake(size_t i, EnclosureId enclosure,
                                         WakeCause* cause,
                                         DataItemId* item) const {
-  // BuildLedger's probe_wake scans the same-timestamp neighborhood of
-  // events[i] in both directions; since the stream is time-sorted, that
+  // Looks around group_[i] for same-timestamp events that identify why
+  // the enclosure woke up (flush / preload destaging beats an active
+  // migration beats a plain demand miss), and for the kPhysicalIo detail
+  // event naming the item whose I/O forced the wake. The same-timestamp
   // neighborhood is exactly the buffered group.
   *cause = enc_[static_cast<size_t>(enclosure)].active_migrations > 0
                ? WakeCause::kMigration
@@ -71,7 +73,7 @@ void IncrementalEnergyLedger::CloseWindow(EnclosureId enclosure, SimTime end,
   w.end = end;
   w.plan = s.off_plan;
   w.actual_j = joules - s.off_joules;
-  const SimDuration dwell = end - s.off_since;
+  const SimDuration dwell = SaturatingSub(end, s.off_since);
   w.credit_j = idle_w_ * ToSeconds(dwell) - w.actual_j;
   w.debit_j = terminal ? 0.0 : spin_extra_j_;
   w.wake = cause;
@@ -87,7 +89,7 @@ void IncrementalEnergyLedger::CloseWindow(EnclosureId enclosure, SimTime end,
   base_.off_credit_j += w.credit_j;
   base_.off_debit_j += w.debit_j;
   base_.off_actual_j += w.actual_j;
-  base_.off_dwell_us += dwell;
+  base_.off_dwell_us = SaturatingAdd(base_.off_dwell_us, dwell);
   if (w.mispredict) {
     base_.mispredicts++;
     base_.mispredict_loss_j += w.debit_j - w.credit_j;
@@ -103,8 +105,8 @@ void IncrementalEnergyLedger::ProcessOne(size_t i) {
     case EventKind::kPowerState: {
       if (e.power.enclosure < 0) break;
       if (e.power.enclosure >= n) {
-        // BuildLedger pre-scans to size the table; grow on sight instead
-        // (see the header's documented deviation).
+        // A live stream cannot pre-scan; grow on sight (see the header's
+        // documented deviation — BuildLedger sizes the table up front).
         enc_.resize(static_cast<size_t>(e.power.enclosure) + 1);
       }
       EncState& s = enc_[static_cast<size_t>(e.power.enclosure)];
@@ -207,14 +209,17 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
                      ? 0
                      : static_cast<int64_t>(plan_start_.rbegin()->first);
 
-  // Per-item write-delay attribution (BuildLedger's legacy fallback).
+  // Per-item write-delay attribution when the capture carries membership
+  // deltas; otherwise keep the old set-level advisory entries.
   std::vector<PendingCache> pending = pending_;
   ledger.per_item_write_delay = ledger.write_delay_admits > 0;
   if (!ledger.per_item_write_delay) {
     pending.insert(pending.end(), legacy_wd_.begin(), legacy_wd_.end());
   }
 
-  // Reconciliation against the measured totals (identical arithmetic).
+  // Reconciliation: the per-component cumulative counters at the horizon
+  // must telescope to the run's measured totals. %.17g round-trips, so a
+  // capture/parse cycle keeps this exact.
   bool all_finals = controller_final_ && n > 0;
   double sum_final = 0.0;
   for (const EncState& s : enc_) {
@@ -232,7 +237,7 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
     ledger.reconcile_rel_err = std::fabs(accounted - measured) / denom;
   }
 
-  // Advisory resolution (same documented model as BuildLedger).
+  // Advisory resolution (documented model; excluded from reconciliation).
   auto plan_end = [&](int32_t plan) -> SimTime {
     auto it = plan_start_.upper_bound(plan);
     return it != plan_start_.end() ? it->second : meta_.duration;
@@ -258,6 +263,9 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
     a.plan = p.plan;
     const SimTime end = std::max(plan_end(p.plan), p.time);
     const int64_t later_off = off_windows_after(p.enclosure, p.time, end);
+    // Credit at most one avoided spin-up per entry, and only when the
+    // enclosure actually went off later in the plan (otherwise holding
+    // the data in cache avoided nothing).
     a.credit_j = later_off > 0 ? spin_extra_j_ : 0.0;
     if (p.kind == AdvisoryEntry::Kind::kPreload) {
       a.debit_j = meta_.controller_power_w *
@@ -268,6 +276,8 @@ EnergyLedger IncrementalEnergyLedger::Snapshot() const {
     ledger.advisory_debit_j += a.debit_j;
     ledger.advisory.push_back(a);
   }
+  // Write-delay occupancy: one debit per plan for the reserved area, not
+  // per item (the area is shared by the plan's whole write-delay set).
   for (const auto& [plan, first_t] : first_wd_in_plan_) {
     AdvisoryEntry a;
     a.kind = AdvisoryEntry::Kind::kWriteDelayOccupancy;

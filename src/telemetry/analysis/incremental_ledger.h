@@ -1,30 +1,33 @@
 #ifndef ECOSTORE_TELEMETRY_ANALYSIS_INCREMENTAL_LEDGER_H_
 #define ECOSTORE_TELEMETRY_ANALYSIS_INCREMENTAL_LEDGER_H_
 
-// Incremental form of BuildLedger (energy_ledger.cc): folds the telemetry
-// stream event-by-event so a running replay exposes a live energy ledger.
-// Batch BuildLedger stays the differential oracle — tests assert exact
-// (bitwise-double) equality at every window boundary.
+// The energy-ledger walk (energy_ledger.h): folds the telemetry stream
+// event-by-event so a running replay exposes a live energy ledger, and
+// BuildLedger is this same fold over a whole capture. The batch walk it
+// replaced is frozen in bench/legacy_ledger.h as the differential oracle
+// — tests assert exact (bitwise-double) equality at every window boundary.
 //
-// Equivalence argument (DESIGN.md §14). BuildLedger is a single forward
-// walk whose only non-local step is probe_wake, which inspects the
-// same-timestamp neighborhood of a SpinningUp edge. The incremental
-// ledger therefore buffers the current same-timestamp group and replays
-// the identical switch over the group once a later-time event (or an
+// Equivalence argument (DESIGN.md §14). The batch walk is a single
+// forward pass whose only non-local step is probe_wake, which inspects
+// the same-timestamp neighborhood of a SpinningUp edge. The fold
+// therefore buffers the current same-timestamp group and replays the
+// identical switch over the group once a later-time event (or an
 // AdvanceTo frontier) proves the group complete; probe_wake's backward
 // and forward scans are exactly a scan over that group. Every remaining
-// BuildLedger output is a pure function of walker state plus the meta
-// (plan tallies, advisory resolution, reconciliation), computed by
-// Snapshot() on copies without disturbing the stream state. A frontier B
-// never splits a timestamp group (frontiers are exclusive), so after
+// ledger output is a pure function of walker state plus the meta (plan
+// tallies, advisory resolution, reconciliation), computed by Snapshot()
+// on copies without disturbing the stream state. A frontier B never
+// splits a timestamp group (frontiers are exclusive), so after
 // AdvanceTo(B), Snapshot() == BuildLedger(meta, {e : e.time < B})
 // field-for-field, doubles bitwise.
 //
-// One documented deviation: BuildLedger pre-scans the whole input to size
-// the per-enclosure table off out-of-range kPowerState events; the
-// incremental walker grows the table when the kPowerState arrives. The
-// two differ only for captures where an event references an enclosure
-// above meta.num_enclosures *before* that enclosure's first kPowerState —
+// One documented deviation, on the streaming path only: BuildLedger
+// pre-scans the whole capture to size the per-enclosure table off
+// out-of-range kPowerState events before folding; a live stream cannot
+// look ahead, so the walker grows the table when the kPowerState
+// arrives. A streaming ledger and BuildLedger over the same events
+// differ only for captures where an event references an enclosure above
+// meta.num_enclosures *before* that enclosure's first kPowerState —
 // impossible for engine-produced captures, whose meta always covers the
 // fleet.
 
@@ -38,8 +41,8 @@
 
 namespace ecostore::telemetry::analysis {
 
-/// \brief Streaming BuildLedger: Consume events in (time, shard) drain
-/// order, Snapshot at any frontier. Also a StreamConsumer so it can hang
+/// \brief The ledger walk: Consume events in (time, shard) drain order,
+/// Snapshot at any frontier. Also a StreamConsumer so it can hang
 /// directly off a StreamDispatcher.
 class IncrementalEnergyLedger : public StreamConsumer {
  public:
@@ -57,9 +60,8 @@ class IncrementalEnergyLedger : public StreamConsumer {
   /// energies into the meta so Snapshot() reconciles.
   void Finish(const StreamFinal& final);
 
-  /// The full batch-equivalent ledger for the events processed so far
-  /// (call AdvanceTo first so the current group is included). Runs the
-  /// BuildLedger tail passes — plan tallies, reconciliation, advisory
+  /// The full ledger for the events processed so far (call AdvanceTo
+  /// first so the current group is included). Runs the tail passes — plan tallies, reconciliation, advisory
   /// resolution — on copies; O(off_windows + cache entries).
   EnergyLedger Snapshot() const;
 
@@ -78,7 +80,7 @@ class IncrementalEnergyLedger : public StreamConsumer {
   void OnFinish(const StreamFinal& final) override { Finish(final); }
 
  private:
-  /// Per-enclosure walker state, identical to BuildLedger's.
+  /// Per-enclosure walker state.
   struct EncState {
     bool off = false;
     SimTime off_since = 0;
@@ -89,7 +91,7 @@ class IncrementalEnergyLedger : public StreamConsumer {
     double final_j = 0.0;
   };
 
-  /// Unresolved advisory raw material (BuildLedger's PendingCache).
+  /// Unresolved advisory raw material, resolved by Snapshot().
   struct PendingCache {
     AdvisoryEntry::Kind kind;
     DataItemId item;

@@ -5,13 +5,13 @@
 //
 // The telemetry recorder observes *simulated* time exhaustively; this
 // layer observes the engine's own *wall-clock* behaviour: scoped phase
-// timers on std::chrono::steady_clock writing 32-byte POD spans into
-// per-thread rings with the same single-writer discipline as the
-// de-atomized event recorder (telemetry/recorder.h). Spans carry a lane
-// tag (0 = serial / coordinator, lane L+1 = sharded lane L) and a
-// correlation id (the monitoring-period index on the serial engine, the
-// epoch index on the sharded engine) so wall-time profiles line up with
-// the sim-time event stream across the two clock domains.
+// timers on std::chrono::steady_clock writing 32-byte POD spans into the
+// same PerThreadRing (telemetry/per_thread_ring.h) as the event recorder
+// (telemetry/recorder.h). Spans carry a lane tag (0 = serial /
+// coordinator, lane L+1 = sharded lane L) and a correlation id (the
+// monitoring-period index on the serial engine, the epoch index on the
+// sharded engine) so wall-time profiles line up with the sim-time event
+// stream across the two clock domains.
 //
 // Two compile modes, exactly mirroring the recorder:
 //  - enabled (default): the real profiler below. An un-profiled run pays
@@ -41,10 +41,7 @@
 #include <vector>
 
 #ifndef ECOSTORE_PROFILE_DISABLED
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include "telemetry/per_thread_ring.h"
 #endif
 
 namespace ecostore::telemetry::profile {
@@ -175,7 +172,9 @@ class Profiler {
   static constexpr bool kEnabled = true;
 
   Profiler() : Profiler(Options{}) {}
-  explicit Profiler(const Options& options);
+  explicit Profiler(const Options& options)
+      : ring_(options.thread_ring_capacity),
+        epoch_(std::chrono::steady_clock::now()) {}
   ~Profiler();
 
   Profiler(const Profiler&) = delete;
@@ -197,9 +196,9 @@ class Profiler {
   }
 
   /// Spans successfully recorded (still resident or overwritten).
-  uint64_t recorded() const;
+  uint64_t recorded() const { return ring_.recorded(); }
   /// Spans overwritten because a ring wrapped, summed over all threads.
-  uint64_t dropped() const;
+  uint64_t dropped() const { return ring_.dropped(); }
 
   /// Merges all thread rings into one stream ordered by start time
   /// (stable: ties keep per-thread record order, then lane order) and
@@ -208,25 +207,8 @@ class Profiler {
   void DrainInto(std::vector<Span>* out);
 
  private:
-  /// One thread's ring; identical single-writer discipline to the
-  /// recorder's ThreadBuffer (only the owning thread updates the
-  /// counters, via plain load+store; readers sum through the atomic).
-  struct ThreadRing {
-    std::thread::id owner;
-    std::vector<Span> spans;
-    size_t head = 0;
-    bool wrapped = false;
-    std::atomic<uint64_t> recorded{0};
-    std::atomic<uint64_t> dropped{0};
-  };
-
-  ThreadRing* BindThisThread();
-
-  Options options_;
+  PerThreadRing<Span> ring_;
   std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex mu_;  ///< guards rings_
-  std::vector<std::unique_ptr<ThreadRing>> rings_;
 };
 
 /// Binds `profiler` as the calling thread's span sink; every ScopedPhase

@@ -2,20 +2,9 @@
 
 #ifndef ECOSTORE_TELEMETRY_DISABLED
 
-#include <algorithm>
-
 namespace ecostore::telemetry {
 
 namespace {
-
-/// Per-thread binding cache: re-binding is just two loads when the same
-/// (thread, recorder) pair records repeatedly — the common case, since
-/// one experiment runs on one thread.
-struct ThreadBinding {
-  const void* recorder = nullptr;
-  void* buffer = nullptr;
-};
-thread_local ThreadBinding t_binding;
 
 /// Shard tag stamped into Event::shard by Record(). Thread-local, not
 /// per-recorder: one thread advances one shard at a time, whichever
@@ -32,80 +21,8 @@ uint16_t SetThreadShard(uint16_t shard) {
 
 uint16_t ThreadShard() { return t_shard; }
 
-Recorder::Recorder(const Options& options)
-    : options_(options), mask_(options.mask) {
-  if (options_.thread_buffer_capacity == 0) {
-    options_.thread_buffer_capacity = 1;
-  }
-}
-
-Recorder::~Recorder() {
-  // Invalidate the calling thread's cache if it points at us; stale
-  // caches on *other* threads are the caller's lifetime bug (writers
-  // must not outlive the recorder), same contract as Drain().
-  if (t_binding.recorder == this) t_binding = ThreadBinding{};
-}
-
-Recorder::ThreadBuffer* Recorder::BindThisThread() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::thread::id self = std::this_thread::get_id();
-  for (const auto& buffer : buffers_) {
-    if (buffer->owner == self) {
-      t_binding = ThreadBinding{this, buffer.get()};
-      return buffer.get();
-    }
-  }
-  buffers_.push_back(std::make_unique<ThreadBuffer>());
-  ThreadBuffer* buffer = buffers_.back().get();
-  buffer->owner = self;
-  t_binding = ThreadBinding{this, buffer};
-  return buffer;
-}
-
 void Recorder::Record(const Event& event) {
-  ThreadBuffer* buffer;
-  if (t_binding.recorder == this) {
-    buffer = static_cast<ThreadBuffer*>(t_binding.buffer);
-  } else {
-    buffer = BindThisThread();
-  }
-  // Single-writer counter: plain load + store, no locked RMW — only the
-  // owning thread writes it, and readers sum through the atomic.
-  buffer->recorded.store(
-      buffer->recorded.load(std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
-  if (buffer->events.size() < options_.thread_buffer_capacity) {
-    buffer->events.push_back(event);
-    buffer->events.back().shard = t_shard;
-    return;
-  }
-  // Ring is at capacity: overwrite the oldest entry in place. Wrap with a
-  // predictable branch — a 64-bit divide has no business in this path.
-  Event& slot = buffer->events[buffer->head];
-  slot = event;
-  slot.shard = t_shard;
-  if (++buffer->head == buffer->events.size()) buffer->head = 0;
-  buffer->wrapped = true;
-  buffer->dropped.store(buffer->dropped.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-}
-
-uint64_t Recorder::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& buffer : buffers_) {
-    total += buffer->recorded.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Recorder::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& buffer : buffers_) {
-    total += buffer->dropped.load(std::memory_order_relaxed);
-  }
-  return total;
+  ring_.Append(event).shard = t_shard;
 }
 
 std::vector<Event> Recorder::Drain() {
@@ -115,40 +32,16 @@ std::vector<Event> Recorder::Drain() {
 }
 
 void Recorder::DrainInto(std::vector<Event>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Event>& merged = *out;
-  merged.clear();
-  size_t total = 0;
-  for (const auto& buffer : buffers_) total += buffer->events.size();
-  merged.reserve(total);
-  for (const auto& buffer : buffers_) {
-    if (buffer->wrapped) {
-      // Oldest surviving event sits at head; unroll the ring.
-      merged.insert(merged.end(), buffer->events.begin() +
-                                      static_cast<ptrdiff_t>(buffer->head),
-                    buffer->events.end());
-      merged.insert(merged.end(), buffer->events.begin(),
-                    buffer->events.begin() +
-                        static_cast<ptrdiff_t>(buffer->head));
-    } else {
-      merged.insert(merged.end(), buffer->events.begin(),
-                    buffer->events.end());
-    }
-    buffer->events.clear();
-    buffer->head = 0;
-    buffer->wrapped = false;
-  }
   // Sort key (time, shard). Stable: within one (time, shard) group events
   // keep their per-thread record order, so a single-threaded run (all
   // shard 0) drains in exactly the order it recorded. In a sharded run a
   // shard executes on exactly one thread per epoch, so every (time, shard)
   // group lives in a single ring in record order, and the drained stream
   // is deterministic for any worker-thread count.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Event& a, const Event& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.shard < b.shard;
-                   });
+  ring_.DrainInto(out, [](const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.shard < b.shard;
+  });
 }
 
 std::vector<LogLine> Recorder::DrainLogs() {

@@ -14,22 +14,26 @@
 //    asserted by tests/telemetry_disabled_test.cc) and Wants() is
 //    constant false, so every event site folds away at compile time.
 //
-// Thread model: Record() is wait-free on the recording thread once its
-// buffer is bound (binding takes a mutex once per (thread, recorder)
-// pair). Drain() requires writers to be quiescent — it is called after
-// Experiment::Run() returns, when the single replay thread is done.
+// Thread model: events go into a PerThreadRing (per_thread_ring.h), so
+// Record() is wait-free on the recording thread once its ring is bound
+// (binding takes a mutex once per (thread, recorder) pair). Drain()
+// requires writers to be quiescent — it is called after Experiment::Run()
+// returns, when the single replay thread is done.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "telemetry/event.h"
+
+#ifndef ECOSTORE_TELEMETRY_DISABLED
+#include "telemetry/per_thread_ring.h"
+#endif
 
 namespace ecostore::telemetry {
 
@@ -150,8 +154,8 @@ class Recorder : public LogSink {
   static constexpr bool kEnabled = true;
 
   Recorder() : Recorder(Options{}) {}
-  explicit Recorder(const Options& options);
-  ~Recorder() override;
+  explicit Recorder(const Options& options)
+      : ring_(options.thread_buffer_capacity), mask_(options.mask) {}
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
@@ -167,9 +171,9 @@ class Recorder : public LogSink {
   void Record(const Event& event);
 
   /// Events overwritten because a ring wrapped, summed over all threads.
-  uint64_t dropped() const;
+  uint64_t dropped() const { return ring_.dropped(); }
   /// Events successfully recorded (still resident or overwritten).
-  uint64_t recorded() const;
+  uint64_t recorded() const { return ring_.recorded(); }
 
   /// Merges all thread buffers into one stream ordered by simulated time
   /// (stable: same-time events keep their per-thread record order) and
@@ -198,27 +202,10 @@ class Recorder : public LogSink {
                 const std::string& message) override;
 
  private:
-  /// One thread's ring. `events` grows geometrically up to `capacity`;
-  /// after that `head` wraps and overwrites the oldest entry. The
-  /// counters are single-writer (only the owning thread updates them, via
-  /// plain load+store — no locked RMW in the record path); readers sum
-  /// them through the atomic in recorded()/dropped().
-  struct ThreadBuffer {
-    std::thread::id owner;
-    std::vector<Event> events;
-    size_t head = 0;
-    bool wrapped = false;
-    std::atomic<uint64_t> recorded{0};
-    std::atomic<uint64_t> dropped{0};
-  };
-
-  ThreadBuffer* BindThisThread();
-
-  Options options_;
+  PerThreadRing<Event> ring_;
   std::atomic<uint32_t> mask_;
 
-  mutable std::mutex mu_;  ///< guards buffers_, registries and logs
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  mutable std::mutex mu_;  ///< guards registries and logs
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
   std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
   std::vector<LogLine> logs_;

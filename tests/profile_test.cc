@@ -13,13 +13,10 @@
 
 #include "telemetry/profile/profile_export.h"
 #include "telemetry/profile/profiler.h"
+#include "tests/test_util.h"
 
 namespace ecostore::telemetry::profile {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);

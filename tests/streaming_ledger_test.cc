@@ -1,20 +1,23 @@
 // Tests for the live observability pipeline: randomized differential
-// equivalence of the IncrementalEnergyLedger against batch BuildLedger
-// (the oracle) at every window boundary on both the serial and sharded
-// engines, RollingSummary window/cumulative consistency, and the
-// in-flight capture reader (ReadJsonlChunk + CaptureTailParser) on
-// byte-truncated files.
+// equivalence of the IncrementalEnergyLedger — and of BuildLedger, its
+// fold over a whole capture — against the frozen batch walk
+// (bench/legacy_ledger.h, the oracle) at every window boundary on both
+// the serial and sharded engines and on a hand-built hostile capture;
+// RollingSummary window/cumulative consistency; and the in-flight capture
+// reader (ReadJsonlChunk + CaptureTailParser) on byte-truncated files.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/legacy_ledger.h"
 #include "bench/telemetry_capture.h"
 #include "core/eco_storage_policy.h"
 #include "policies/basic_policies.h"
@@ -26,14 +29,11 @@
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
 #include "telemetry/stream_consumer.h"
+#include "tests/test_util.h"
 #include "workload/file_server_workload.h"
 
 namespace ecostore::telemetry::analysis {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 void WriteFileBytes(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -153,11 +153,11 @@ CapturedRun RunInstrumentedSerial(uint64_t seed, bool eco,
 }
 
 // Replays the capture into an IncrementalEnergyLedger, pausing at every
-// multiple of `window` to compare Snapshot() against the batch oracle
-// over the same exclusive prefix; then finishes and compares the full
-// run. The boundary comparisons pass `meta` to both sides, so every
-// field — including reconciliation once the finals arrive — must match
-// bitwise.
+// multiple of `window` to compare Snapshot() — and BuildLedger over the
+// same exclusive prefix — against the batch oracle; then finishes and
+// compares the full run. The boundary comparisons pass `meta` to every
+// side, so every field — including reconciliation once the finals
+// arrive — must match bitwise.
 void CheckIncrementalMatchesBatch(const CapturedRun& run,
                                   SimDuration window) {
   IncrementalEnergyLedger inc(run.meta);
@@ -169,9 +169,11 @@ void CheckIncrementalMatchesBatch(const CapturedRun& run,
     }
     inc.AdvanceTo(b);
     std::vector<Event> prefix(run.events.begin(), run.events.begin() + i);
-    ExpectSameLedger(inc.Snapshot(), BuildLedger(run.meta, prefix),
-                     "window=" + std::to_string(window) +
-                         " boundary=" + std::to_string(b));
+    const std::string where = "window=" + std::to_string(window) +
+                              " boundary=" + std::to_string(b);
+    const EnergyLedger oracle = legacy::BuildLedger(run.meta, prefix);
+    ExpectSameLedger(inc.Snapshot(), oracle, where);
+    ExpectSameLedger(BuildLedger(run.meta, prefix), oracle, "fold " + where);
     boundaries++;
   }
   EXPECT_GT(boundaries, 0);
@@ -183,8 +185,11 @@ void CheckIncrementalMatchesBatch(const CapturedRun& run,
   fin.has_energy = true;
   inc.Finish(fin);
   EXPECT_TRUE(inc.finished());
-  ExpectSameLedger(inc.Snapshot(), BuildLedger(run.meta, run.events),
+  const EnergyLedger oracle = legacy::BuildLedger(run.meta, run.events);
+  ExpectSameLedger(inc.Snapshot(), oracle,
                    "end-of-run window=" + std::to_string(window));
+  ExpectSameLedger(BuildLedger(run.meta, run.events), oracle,
+                   "fold end-of-run");
 }
 
 TEST(IncrementalLedgerTest, MatchesBatchAtEveryBoundarySerialRandomized) {
@@ -276,7 +281,7 @@ TEST(IncrementalLedgerTest, MatchesBatchAtEveryFrontierShardedEngine) {
     for (const Event& e : events) {
       if (e.time < frontier) prefix.push_back(e);
     }
-    ExpectSameLedger(live, BuildLedger(pre_meta, prefix),
+    ExpectSameLedger(live, legacy::BuildLedger(pre_meta, prefix),
                      "frontier=" + std::to_string(frontier));
   }
   // End-of-run: install the measured energies (as the engine's Finish
@@ -284,10 +289,70 @@ TEST(IncrementalLedgerTest, MatchesBatchAtEveryFrontierShardedEngine) {
   ExportMeta final_meta = pre_meta;
   final_meta.enclosure_energy_j = metrics.value().enclosure_energy;
   final_meta.controller_energy_j = metrics.value().controller_energy;
-  EnergyLedger batch = BuildLedger(final_meta, events);
+  EnergyLedger batch = legacy::BuildLedger(final_meta, events);
   ExpectSameLedger(snap.inc.Snapshot(), batch, "sharded end-of-run");
   EXPECT_TRUE(batch.has_finals);
   EXPECT_LE(batch.reconcile_rel_err, 1e-6);
+}
+
+// A capture no engine writes: a migration names enclosure 3 (above
+// meta.num_enclosures = 2) before that enclosure's first kPowerState,
+// and the final group is stamped INT64_MAX. BuildLedger must still read
+// it exactly as the batch walk does: the pre-scan tracks the early
+// migration, and Finish (not an exclusive frontier) flushes the last
+// group. Enclosure 1 goes off at a negative time, so its terminal
+// window's dwell and the dwell total saturate at INT64_MAX.
+TEST(IncrementalLedgerTest, HostileCaptureMatchesBatch) {
+  ExportMeta meta;
+  meta.num_enclosures = 2;
+  meta.duration = 60 * kSecond;
+  replay::ExperimentConfig config;
+  bench::FillPowerModel(&meta, config.storage);
+  const SimTime end = std::numeric_limits<SimTime>::max();
+  DecisionPayload decision;
+  decision.item = 7;
+  decision.pattern = 2;
+  decision.plan = 1;
+  decision.total_ios = 12;
+  const std::vector<Event> events = {
+      MakePowerEvent(-5 * kSecond, 1, /*state=*/0, 0, 0.0),
+      MakeDecisionEvent(1 * kSecond, decision),
+      MakePowerEvent(2 * kSecond, 0, /*state=*/0, 0, 100.0, /*plan=*/1),
+      MakeMigrationEvent(3 * kSecond, EventKind::kMigrationBegin, 9, 3, 1,
+                         0),
+      MakePowerEvent(4 * kSecond, 3, /*state=*/0, 0, 50.0, /*plan=*/1),
+      MakeCacheEvent(5 * kSecond, EventKind::kPreloadBegin, 7, 0, 8,
+                     1 * kMiB, /*plan=*/1),
+      MakeCacheEvent(30 * kSecond, EventKind::kPhysicalIo, 7, 3, 1, 4096),
+      MakePowerEvent(30 * kSecond, 3, /*state=*/1, 0, 60.0, /*plan=*/1),
+      MakeMigrationEvent(40 * kSecond, EventKind::kMigrationEnd, 9, 3, 1,
+                         4096),
+      MakeEnergyFinalEvent(end, 0, 300.0),
+      MakeEnergyFinalEvent(end, 1, 400.0),
+      MakeEnergyFinalEvent(end, 2, 500.0),
+      MakeEnergyFinalEvent(end, 3, 600.0),
+      MakeEnergyFinalEvent(end, kInvalidEnclosure, 700.0),
+  };
+  meta.enclosure_energy_j = 300.0 + 400.0 + 500.0 + 600.0;
+  meta.controller_energy_j = 700.0;
+
+  const EnergyLedger oracle = legacy::BuildLedger(meta, events);
+  ExpectSameLedger(BuildLedger(meta, events), oracle, "hostile capture");
+
+  // The capture does exercise both quirks: the wake on enclosure 3 is
+  // blamed on the early migration, and the terminal window and the
+  // reconciliation come from the INT64_MAX group.
+  ASSERT_EQ(oracle.off_windows.size(), 3u);
+  EXPECT_EQ(oracle.off_windows[0].enclosure, 3);
+  EXPECT_EQ(oracle.off_windows[0].wake, WakeCause::kMigration);
+  EXPECT_TRUE(oracle.off_windows[0].has_culprit);
+  EXPECT_EQ(oracle.off_windows[1].enclosure, 0);
+  EXPECT_EQ(oracle.off_windows[1].end, end);
+  EXPECT_EQ(oracle.off_windows[1].wake, WakeCause::kRunEnd);
+  EXPECT_EQ(oracle.off_windows[2].enclosure, 1);
+  EXPECT_EQ(oracle.off_dwell_us, end);
+  EXPECT_TRUE(oracle.has_finals);
+  EXPECT_EQ(oracle.reconcile_rel_err, 0.0);
 }
 
 // --- rolling summary ------------------------------------------------------
@@ -366,7 +431,8 @@ TEST(RollingSummaryTest, WindowsTileTheRunAndTelescopeToTheTotal) {
             static_cast<int64_t>(full.off_windows.size()));
   EXPECT_EQ(windows.back().cum_mispredicts, full.mispredicts);
   // The final ledger behind the summary is the batch ledger.
-  ExpectSameLedger(rolling.FinalLedger(), BuildLedger(run.meta, run.events),
+  ExpectSameLedger(rolling.FinalLedger(),
+                   legacy::BuildLedger(run.meta, run.events),
                    "rolling final ledger");
   // The run's latency book flowed through the per-window deltas intact.
   int64_t book_count = 0;

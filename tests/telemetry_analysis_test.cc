@@ -19,14 +19,11 @@
 #include "telemetry/analysis/summary.h"
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
+#include "tests/test_util.h"
 #include "workload/file_server_workload.h"
 
 namespace ecostore::telemetry::analysis {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 void WriteFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");

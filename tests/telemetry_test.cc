@@ -18,14 +18,11 @@
 #include "sim/simulator.h"
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
+#include "tests/test_util.h"
 #include "workload/file_server_workload.h"
 
 namespace ecostore::telemetry {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 // The recorder-behaviour tests assert the *enabled* semantics; in a
 // -DECOSTORE_TELEMETRY=OFF build the stub (correctly) records nothing,
