@@ -126,9 +126,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(policy.placements_skipped()),
               static_cast<long long>(policy.placement_determinations() -
                                      policy.incremental_replans()));
-  std::printf("[monitor]    streaming classification %s, trace capture "
-              "%s, classifier peak state %.2f MiB\n",
-              policy.streaming_active() ? "on" : "off",
+  std::printf("[monitor]    trace capture %s, classifier peak state "
+              "%.2f MiB\n",
               experiment.application_monitor().capture() ? "on" : "off",
               static_cast<double>(policy.classifier_peak_state_bytes()) /
                   (1024.0 * 1024.0));

@@ -16,6 +16,13 @@
 // partial evictions back when it fails (the current planner does too) —
 // the seed version left the stray moves in `evictions` and in the
 // working state even though the target hot enclosure was abandoned.
+//
+// LegacyPowerManagementFunction freezes the period end the same way: the
+// management function as it ran before the enclosure-of cache and the
+// incremental re-plan were its only path (full classification, full
+// placement, full final-enclosure map and an item-order safety net every
+// period). It is the multi-period oracle of
+// tests/planner_differential_test.cc.
 
 #include <algorithm>
 #include <cmath>
@@ -27,7 +34,10 @@
 #include "core/hot_cold_planner.h"
 #include "core/pattern_classifier.h"
 #include "core/placement_planner.h"
+#include "core/power_management.h"
+#include "monitor/snapshot.h"
 #include "storage/block_virtualization.h"
+#include "storage/storage_system.h"
 
 namespace ecostore::legacy {
 
@@ -358,6 +368,143 @@ class LegacyCachePlanner {
 
  private:
   Options options_;
+};
+
+/// PowerManagementFunction::Run with every period planned from scratch
+/// (paper Algorithm 1): it classifies the snapshot's captured trace in
+/// one replay, plans placement over the full catalog, rebuilds the
+/// item -> post-plan enclosure map and walks every P3 item for the
+/// safety net. Planners and period controller are the src/core ones
+/// (their own differentials are above), so a plan mismatch against the
+/// production function isolates its period-end bookkeeping: the
+/// enclosure-of cache, the move-journal fold and the incremental
+/// candidate set.
+class LegacyPowerManagementFunction {
+ public:
+  LegacyPowerManagementFunction(const core::PowerManagementConfig& config,
+                                const storage::StorageSystem& system)
+      : config_(FillDefaults(config, system)),
+        classifier_(core::PatternClassifier::Options{config_.break_even,
+                                                     1 * kSecond}),
+        hot_cold_(core::HotColdPlanner::Options{config_.max_enclosure_iops,
+                                                config_.enclosure_capacity}),
+        placement_(core::PlacementPlanner::Options{
+                       config_.max_enclosure_iops,
+                       config_.enclosure_capacity},
+                   &hot_cold_),
+        cache_(core::CachePlanner::Options{config_.preload_area_bytes,
+                                           config_.write_delay_area_bytes}),
+        period_(core::MonitoringPeriodController::Options{
+            config_.alpha, config_.min_period, config_.max_period}) {}
+
+  /// Plans one period from `snapshot.application->buffer()`, which must
+  /// hold the whole period's logical I/O. The returned plan's
+  /// classification aliases a table owned here (valid until the next Run).
+  core::ManagementPlan Run(const monitor::MonitorSnapshot& snapshot,
+                           const storage::StorageSystem& system,
+                           SimDuration current_period) {
+    core::ManagementPlan plan;
+    const storage::BlockVirtualization& virt = system.virtualization();
+
+    classifier_.BeginPeriod(snapshot.period_start);
+    for (const trace::LogicalIoRecord& rec :
+         snapshot.application->buffer().records()) {
+      classifier_.OnLogicalIo(rec);
+    }
+    const core::ClassificationResult& classification =
+        classifier_.Finalize(virt.catalog(), snapshot.period_end);
+    plan.classification = &classification;
+
+    // Determine hot/cold enclosures + data placement.
+    if (config_.enable_placement) {
+      core::PlacementPlan placement = placement_.Plan(classification, virt);
+      plan.partition = std::move(placement.partition);
+      plan.migrations = std::move(placement.migrations);
+    } else {
+      plan.partition = hot_cold_.Plan(classification, virt);
+      // Items stay put; cold enclosures may still hold P3 items. Such
+      // enclosures must not power off, so mark them hot.
+      for (const core::ItemClassification& cls : classification.items) {
+        if (cls.pattern == core::IoPattern::kP3) {
+          auto enc = static_cast<size_t>(virt.EnclosureOf(cls.item));
+          if (!plan.partition.is_hot[enc]) {
+            plan.partition.is_hot[enc] = true;
+            plan.partition.n_hot++;
+          }
+        }
+      }
+    }
+
+    // Final placement after migrations for the cache planner.
+    std::vector<EnclosureId> final_enclosure(classification.items.size());
+    for (const core::ItemClassification& cls : classification.items) {
+      final_enclosure[static_cast<size_t>(cls.item)] =
+          virt.EnclosureOf(cls.item);
+    }
+    for (const core::Migration& mig : plan.migrations) {
+      final_enclosure[static_cast<size_t>(mig.item)] = mig.to;
+    }
+
+    // Safety net: any P3 item that ends up on a cold enclosure (pinned,
+    // or unplaceable) forces that enclosure hot — powering it off would
+    // stall the application.
+    for (const core::ItemClassification& cls : classification.items) {
+      if (cls.pattern != core::IoPattern::kP3) continue;
+      auto enc = static_cast<size_t>(
+          final_enclosure[static_cast<size_t>(cls.item)]);
+      if (!plan.partition.is_hot[enc]) {
+        plan.partition.is_hot[enc] = true;
+        plan.partition.n_hot++;
+      }
+    }
+
+    // Determine write delay first, then preload (paper §IV-A rationale).
+    core::CachePlan cache_plan =
+        cache_.Plan(classification, plan.partition, final_enclosure);
+    if (config_.enable_write_delay) {
+      plan.cache.write_delay = std::move(cache_plan.write_delay);
+    }
+    if (config_.enable_preload) {
+      plan.cache.preload = std::move(cache_plan.preload);
+    }
+
+    // Determine the power-control method: power-off only for cold
+    // enclosures (paper §IV-G).
+    plan.spin_down_allowed.assign(plan.partition.is_hot.size(), false);
+    for (size_t e = 0; e < plan.partition.is_hot.size(); ++e) {
+      plan.spin_down_allowed[e] = !plan.partition.is_hot[e];
+    }
+
+    // Determine the length of the next monitoring period (paper §IV-H).
+    plan.next_period = config_.enable_adaptive_period
+                           ? period_.Next(classification, current_period)
+                           : current_period;
+    return plan;
+  }
+
+ private:
+  static core::PowerManagementConfig FillDefaults(
+      core::PowerManagementConfig config,
+      const storage::StorageSystem& system) {
+    const storage::StorageConfig& sc = system.config();
+    if (config.enclosure_capacity == 0) {
+      config.enclosure_capacity = sc.enclosure.capacity_bytes;
+    }
+    if (config.preload_area_bytes == 0) {
+      config.preload_area_bytes = sc.cache.preload_area_bytes;
+    }
+    if (config.write_delay_area_bytes == 0) {
+      config.write_delay_area_bytes = sc.cache.write_delay_area_bytes;
+    }
+    return config;
+  }
+
+  core::PowerManagementConfig config_;
+  core::PatternClassifier classifier_;
+  core::HotColdPlanner hot_cold_;
+  core::PlacementPlanner placement_;
+  core::CachePlanner cache_;
+  core::MonitoringPeriodController period_;
 };
 
 }  // namespace ecostore::legacy

@@ -12,16 +12,11 @@ void EcoStoragePolicy::Start(const storage::StorageSystem& system,
                              policies::PolicyActuator* actuator) {
   actuator_ = actuator;
   function_ = std::make_unique<PowerManagementFunction>(config_, system);
-  // Fleet-scale monitoring mode (DESIGN.md §13): feed the classifier from
-  // the monitor's logical I/O stream so period ends only finalise. When
-  // the runtime supports it, wants_logical_trace() then releases the
-  // per-period trace buffer. Runtimes without sink support (bare test
-  // actuators) fall back to replaying the captured trace — identical
-  // classifications either way.
-  streaming_ = actuator->AttachLogicalIoSink(function_->classifier());
-  if (streaming_) {
-    function_->classifier()->BeginPeriod(actuator->Now());
-  }
+  // Feed the classifier from the monitor's logical I/O stream so period
+  // ends only finalise (DESIGN.md §13); the per-period trace buffer is
+  // never read, so wants_logical_trace() releases it.
+  actuator->AttachLogicalIoSink(function_->classifier());
+  function_->classifier()->BeginPeriod(actuator->Now());
   current_period_ = config_.initial_period;
   period_start_ = actuator->Now();
   is_hot_.assign(static_cast<size_t>(system.num_enclosures()), true);
@@ -41,16 +36,12 @@ SimDuration EcoStoragePolicy::OnPeriodEnd(
   // A §V-D trigger caused this period end iff the flag is still up: that
   // is direct evidence of a sudden pattern change, so the management
   // function must re-plan from scratch rather than incrementally.
-  last_plan_ =
-      function_->Run(snapshot, system, current_period_,
-                     /*force_full=*/triggered_this_period_,
-                     /*streaming_ingest=*/streaming_);
-  if (streaming_) {
-    // The engine resets the application monitor right after this hook
-    // returns, both at Now(): no record can arrive in between, so the
-    // classifier's next period aligns exactly with the monitor's.
-    function_->classifier()->BeginPeriod(actuator->Now());
-  }
+  last_plan_ = function_->Run(snapshot, system, current_period_,
+                              /*force_full=*/triggered_this_period_);
+  // The engine resets the application monitor right after this hook
+  // returns, both at Now(): no record can arrive in between, so the
+  // classifier's next period aligns exactly with the monitor's.
+  function_->classifier()->BeginPeriod(actuator->Now());
   placement_determinations_++;
   if (last_plan_.incremental) incremental_replans_++;
   if (last_plan_.placement_skipped) placements_skipped_++;

@@ -47,12 +47,10 @@ class EcoStoragePolicy : public policies::StoragePolicy {
     return placement_determinations_;
   }
 
-  /// With a streaming sink attached the captured trace is never read —
-  /// the engine may release the per-period buffer (DESIGN.md §13).
-  bool wants_logical_trace() const override { return !streaming_; }
-
-  /// Whether Start() attached the classifier to the monitor's I/O stream.
-  bool streaming_active() const { return streaming_; }
+  /// The classifier ingests through the monitor sink, so the captured
+  /// trace is never read — the engine may release the per-period buffer
+  /// (DESIGN.md §13).
+  bool wants_logical_trace() const override { return false; }
 
   /// High-water mark of the streaming classifier's running state in
   /// bytes (per-item states, P3 bucket pool, pattern/dirty tables) — the
@@ -86,8 +84,6 @@ class EcoStoragePolicy : public policies::StoragePolicy {
   SimDuration current_period_ = 0;
   SimTime period_start_ = 0;
   bool triggered_this_period_ = false;
-  /// Classifier ingests via the monitor sink (set in Start()).
-  bool streaming_ = false;
 
   /// Latest hot/cold view for the §V-D triggers.
   std::vector<bool> is_hot_;

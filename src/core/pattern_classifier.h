@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -14,10 +13,6 @@
 #include "monitor/io_sink.h"
 #include "storage/data_item.h"
 #include "trace/trace_buffer.h"
-
-namespace ecostore {
-class ThreadPool;
-}  // namespace ecostore
 
 namespace ecostore::core {
 
@@ -99,13 +94,10 @@ struct ClassificationResult {
 /// so regrouping is exact). Period-end cost thus scales with activity,
 /// not catalog size.
 ///
-/// Finalisation is sharded by contiguous slices of the (item-ordered)
-/// frontier across a common::ThreadPool with a deterministic item-ordered
-/// merge (the ShardedExperiment discipline):
-/// every cross-shard reduction is integral, so the result is bit-identical
-/// for any shard or worker count, and bit-identical to the pre-streaming
-/// classifier preserved in bench/legacy_classifier.h (the differential
-/// oracle).
+/// Finalisation is one serial pass over the (item-ordered) frontier.
+/// Every aggregate it reduces is integral, so the result is bit-identical
+/// to the pre-streaming classifier preserved in
+/// bench/legacy_classifier.h (the differential oracle).
 ///
 /// Across periods the classifier keeps the previous pattern table and
 /// emits the dirty set — items whose pattern changed, which includes
@@ -121,16 +113,9 @@ class PatternClassifier : public monitor::LogicalIoSink {
     SimDuration break_even = 52 * kSecond;
     /// Bucket width for the aggregate P3 IOPS series used for I_max.
     SimDuration iops_bucket = 1 * kSecond;
-    /// Finalisation shard count; 0 picks one shard per
-    /// `items_per_shard` frontier items (serial below one shard's worth).
-    /// Any value yields bit-identical results.
-    int finalize_shards = 0;
-    /// Auto-sharding granularity.
-    int64_t items_per_shard = 1 << 17;
   };
 
   explicit PatternClassifier(const Options& options);
-  ~PatternClassifier() override;
 
   const Options& options() const { return options_; }
 
@@ -218,13 +203,13 @@ class PatternClassifier : public monitor::LogicalIoSink {
     int32_t count[kEntries];
   };
 
-  /// Deterministic per-shard reduction, merged in item/shard order.
-  struct ShardAccum {
+  /// Integral aggregates of one frontier pass, merged with the quiet
+  /// remainder's closed-form contribution.
+  struct FrontierAccum {
     std::array<int64_t, kNumIoPatterns> pattern_counts = {0, 0, 0, 0};
     int64_t long_interval_sum = 0;
     int64_t long_interval_count = 0;
     bool any_p3 = false;
-    std::vector<DataItemId> dirty;
     std::vector<int64_t> p3_buckets;
   };
 
@@ -232,9 +217,8 @@ class PatternClassifier : public monitor::LogicalIoSink {
   void AppendBucket(ItemState* st, int64_t bucket);
   void ReleaseChunks(ItemState* st);
   void WriteQuietRow(size_t i, const storage::DataItemCatalog& catalog);
-  void FinalizeRange(const size_t* idxs, size_t count, SimTime period_end,
-                     double period_seconds, size_t n_buckets,
-                     bool track_dirty, ShardAccum* accum);
+  void FinalizeFrontier(SimTime period_end, double period_seconds,
+                        size_t n_buckets, bool track_dirty);
   void NotePeak();
 
   Options options_;
@@ -258,8 +242,7 @@ class PatternClassifier : public monitor::LogicalIoSink {
   std::vector<size_t> resident_;   ///< sorted: rows currently non-quiet
   std::vector<size_t> frontier_;   ///< scratch: touched ∪ resident, sorted
 
-  std::vector<ShardAccum> shard_accums_;
-  std::unique_ptr<ThreadPool> finalize_pool_;
+  FrontierAccum accum_;
   size_t peak_state_bytes_ = 0;
 };
 

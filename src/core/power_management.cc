@@ -66,24 +66,14 @@ PowerManagementFunction::PowerManagementFunction(
 ManagementPlan PowerManagementFunction::Run(
     const monitor::MonitorSnapshot& snapshot,
     const storage::StorageSystem& system,
-    SimDuration current_period, bool force_full, bool streaming_ingest) {
+    SimDuration current_period, bool force_full) {
   ManagementPlan plan;
   const storage::BlockVirtualization& virt = system.virtualization();
 
-  // Algorithm 1 line: determine Logical I/O pattern of data items. With
-  // streaming ingest the interval analysis already happened as the I/Os
-  // arrived; the period end only finalises (DESIGN.md §13). The replay
-  // path feeds the captured trace through the same state machine, so
-  // both produce bit-identical classifications.
-  if (streaming_ingest) {
-    assert(classifier_.period_start() == snapshot.period_start);
-  } else {
-    classifier_.BeginPeriod(snapshot.period_start);
-    for (const trace::LogicalIoRecord& rec :
-         snapshot.application->buffer().records()) {
-      classifier_.OnLogicalIo(rec);
-    }
-  }
+  // Algorithm 1 line: determine Logical I/O pattern of data items. The
+  // interval analysis already happened as the I/Os reached the
+  // classifier; the period end only finalises (DESIGN.md §13).
+  assert(classifier_.period_start() == snapshot.period_start);
   const ClassificationResult* classification_ptr;
   {
     telemetry::profile::ScopedPhase classify_span(
@@ -103,64 +93,60 @@ ManagementPlan PowerManagementFunction::Run(
   // journal suffix, and apply the classifier's pattern flips. All
   // frontier-sized; the O(catalog) rebuild runs only on the first period
   // or when the catalog / enclosure count changed underneath us.
-  const size_t cache_items = classification.items.size();
-  const size_t cache_encs = static_cast<size_t>(system.num_enclosures());
-  const bool use_enclosure_cache = config_.enable_enclosure_cache;
-  if (use_enclosure_cache) {
-    auto move_cached = [this](DataItemId item, EnclosureId to) {
-      const size_t idx = static_cast<size_t>(item);
-      const EnclosureId from = final_enclosure_[idx];
-      if (from == to) return;
-      if (cached_is_p3_[idx] != 0) {
-        p3_final_count_[static_cast<size_t>(from)]--;
-        p3_final_count_[static_cast<size_t>(to)]++;
-      }
-      final_enclosure_[idx] = to;
-    };
-    if (have_enclosure_cache_ && classifier_.has_previous() &&
-        final_enclosure_.size() == cache_items &&
-        p3_final_count_.size() == cache_encs &&
-        enclosure_cache_cursor_ <= virt.move_log_size()) {
-      for (DataItemId item : overlay_items_) {
-        move_cached(item, virt.EnclosureOf(item));
-      }
-      const std::vector<DataItemId>& log = virt.move_log();
-      for (size_t i = enclosure_cache_cursor_; i < log.size(); ++i) {
-        move_cached(log[i], virt.EnclosureOf(log[i]));
-      }
-      const std::vector<uint8_t>& patterns = classifier_.patterns();
-      for (DataItemId item : classifier_.dirty_items()) {
-        const size_t idx = static_cast<size_t>(item);
-        const uint8_t p3 =
-            patterns[idx] == static_cast<uint8_t>(IoPattern::kP3) ? 1 : 0;
-        if (p3 != cached_is_p3_[idx]) {
-          p3_final_count_[static_cast<size_t>(final_enclosure_[idx])] +=
-              p3 != 0 ? 1 : -1;
-          cached_is_p3_[idx] = p3;
-        }
-      }
-    } else {
-      final_enclosure_.assign(cache_items, 0);
-      cached_is_p3_.assign(cache_items, 0);
-      p3_final_count_.assign(cache_encs, 0);
-      for (const ItemClassification& cls : classification.items) {
-        const size_t idx = static_cast<size_t>(cls.item);
-        const EnclosureId enc = virt.EnclosureOf(cls.item);
-        final_enclosure_[idx] = enc;
-        if (cls.pattern == IoPattern::kP3) {
-          cached_is_p3_[idx] = 1;
-          p3_final_count_[static_cast<size_t>(enc)]++;
-        }
-      }
-      have_enclosure_cache_ = true;
+  const size_t n_items = classification.items.size();
+  const size_t n_encs = static_cast<size_t>(system.num_enclosures());
+  auto move_cached = [this](DataItemId item, EnclosureId to) {
+    const size_t idx = static_cast<size_t>(item);
+    const EnclosureId from = final_enclosure_[idx];
+    if (from == to) return;
+    if (cached_is_p3_[idx] != 0) {
+      p3_final_count_[static_cast<size_t>(from)]--;
+      p3_final_count_[static_cast<size_t>(to)]++;
     }
-    enclosure_cache_cursor_ = virt.move_log_size();
-    overlay_items_.clear();
+    final_enclosure_[idx] = to;
+  };
+  if (have_enclosure_cache_ && classifier_.has_previous() &&
+      final_enclosure_.size() == n_items &&
+      p3_final_count_.size() == n_encs &&
+      enclosure_cache_cursor_ <= virt.move_log_size()) {
+    for (DataItemId item : overlay_items_) {
+      move_cached(item, virt.EnclosureOf(item));
+    }
+    const std::vector<DataItemId>& log = virt.move_log();
+    for (size_t i = enclosure_cache_cursor_; i < log.size(); ++i) {
+      move_cached(log[i], virt.EnclosureOf(log[i]));
+    }
+    const std::vector<uint8_t>& patterns = classifier_.patterns();
+    for (DataItemId item : classifier_.dirty_items()) {
+      const size_t idx = static_cast<size_t>(item);
+      const uint8_t p3 =
+          patterns[idx] == static_cast<uint8_t>(IoPattern::kP3) ? 1 : 0;
+      if (p3 != cached_is_p3_[idx]) {
+        p3_final_count_[static_cast<size_t>(final_enclosure_[idx])] +=
+            p3 != 0 ? 1 : -1;
+        cached_is_p3_[idx] = p3;
+      }
+    }
+  } else {
+    final_enclosure_.assign(n_items, 0);
+    cached_is_p3_.assign(n_items, 0);
+    p3_final_count_.assign(n_encs, 0);
+    for (const ItemClassification& cls : classification.items) {
+      const size_t idx = static_cast<size_t>(cls.item);
+      const EnclosureId enc = virt.EnclosureOf(cls.item);
+      final_enclosure_[idx] = enc;
+      if (cls.pattern == IoPattern::kP3) {
+        cached_is_p3_[idx] = 1;
+        p3_final_count_[static_cast<size_t>(enc)]++;
+      }
+    }
+    have_enclosure_cache_ = true;
   }
+  enclosure_cache_cursor_ = virt.move_log_size();
+  overlay_items_.clear();
 
   // Determine hot/cold enclosures + data placement.
   if (config_.enable_placement) {
-    const size_t n_items = classification.items.size();
     bool planned = false;
 
     // Incremental path (DESIGN.md §12). Sound because every item that can
@@ -172,8 +158,7 @@ ManagementPlan PowerManagementFunction::Run(
     // and under an unchanged partition an unchanged P3 item still sits
     // hot. A partition shift invalidates that last step, so it falls back
     // to the full plan.
-    if (config_.enable_incremental_replan && !force_full && have_prev_ &&
-        classifier_.has_previous() &&
+    if (!force_full && have_prev_ && classifier_.has_previous() &&
         classifier_.patterns().size() == n_items &&
         journal_cursor_ <= virt.move_log_size()) {
       // The dirty set (pattern-changed items, including newly-quiet P3s)
@@ -235,83 +220,37 @@ ManagementPlan PowerManagementFunction::Run(
     journal_cursor_ = virt.move_log_size();
     have_prev_ = true;
   } else {
+    // Items stay put; a cold enclosure still holding a P3 item must not
+    // power off. p3_final_count_ already reflects current residency and
+    // patterns (there are no migrations on this branch), so the safety
+    // net below forces such enclosures hot.
     plan.partition = hot_cold_.Plan(classification, virt);
-    // Items stay put; cold enclosures may still hold P3 items. Such
-    // enclosures must not power off, so mark them hot. With the cache,
-    // p3_final_count_ already reflects current residency + patterns
-    // (migrations are empty on this branch), so the general safety net
-    // below covers it; the legacy walk is kept as the flag-off oracle.
-    if (!use_enclosure_cache) {
-      for (const ItemClassification& cls : classification.items) {
-        if (cls.pattern == IoPattern::kP3) {
-          auto enc = static_cast<size_t>(virt.EnclosureOf(cls.item));
-          if (!plan.partition.is_hot[enc]) {
-            plan.partition.is_hot[enc] = true;
-            plan.partition.n_hot++;
-          }
-        }
-      }
-    }
   }
 
   // ---- enclosure-of cache refresh, part 2: overlay this plan ----
-  // Final placement after migrations for the cache planner. With the
-  // cache, final_enclosure_ was synced above and only the new plan's
-  // migrations (frontier-sized) are folded in; the legacy path rebuilds
-  // the full map every period.
-  std::vector<EnclosureId> legacy_final_enclosure;
-  if (use_enclosure_cache) {
-    overlay_items_.reserve(plan.migrations.size());
-    for (const Migration& mig : plan.migrations) {
-      const size_t idx = static_cast<size_t>(mig.item);
-      overlay_items_.push_back(mig.item);
-      if (final_enclosure_[idx] != mig.to) {
-        if (cached_is_p3_[idx] != 0) {
-          p3_final_count_[static_cast<size_t>(final_enclosure_[idx])]--;
-          p3_final_count_[static_cast<size_t>(mig.to)]++;
-        }
-        final_enclosure_[idx] = mig.to;
-      }
-    }
-  } else {
-    legacy_final_enclosure.resize(classification.items.size());
-    for (const ItemClassification& cls : classification.items) {
-      legacy_final_enclosure[static_cast<size_t>(cls.item)] =
-          virt.EnclosureOf(cls.item);
-    }
-    for (const Migration& mig : plan.migrations) {
-      legacy_final_enclosure[static_cast<size_t>(mig.item)] = mig.to;
-    }
+  // Final placement after migrations for the cache planner:
+  // final_enclosure_ was synced above, so only the new plan's migrations
+  // (frontier-sized) are folded in.
+  overlay_items_.reserve(plan.migrations.size());
+  for (const Migration& mig : plan.migrations) {
+    overlay_items_.push_back(mig.item);
+    move_cached(mig.item, mig.to);
   }
-  const std::vector<EnclosureId>& final_enclosure =
-      use_enclosure_cache ? final_enclosure_ : legacy_final_enclosure;
 
   // Safety net: any P3 item that ends up on a cold enclosure (pinned, or
   // unplaceable) forces that enclosure hot — powering it off would stall
-  // the application. The item-order walk has pure set semantics, so the
-  // enclosure-count scan produces the identical partition.
-  if (use_enclosure_cache) {
-    for (size_t e = 0; e < p3_final_count_.size(); ++e) {
-      if (p3_final_count_[e] > 0 && !plan.partition.is_hot[e]) {
-        plan.partition.is_hot[e] = true;
-        plan.partition.n_hot++;
-      }
-    }
-  } else {
-    for (const ItemClassification& cls : classification.items) {
-      if (cls.pattern != IoPattern::kP3) continue;
-      auto enc = static_cast<size_t>(
-          final_enclosure[static_cast<size_t>(cls.item)]);
-      if (!plan.partition.is_hot[enc]) {
-        plan.partition.is_hot[enc] = true;
-        plan.partition.n_hot++;
-      }
+  // the application. The rule has pure set semantics, so scanning the
+  // per-enclosure P3 counts equals walking the P3 items.
+  for (size_t e = 0; e < p3_final_count_.size(); ++e) {
+    if (p3_final_count_[e] > 0 && !plan.partition.is_hot[e]) {
+      plan.partition.is_hot[e] = true;
+      plan.partition.n_hot++;
     }
   }
 
   // Determine write delay first, then preload (paper §IV-A rationale).
   CachePlan cache_plan =
-      cache_.Plan(classification, plan.partition, final_enclosure);
+      cache_.Plan(classification, plan.partition, final_enclosure_);
   if (config_.enable_write_delay) {
     plan.cache.write_delay = std::move(cache_plan.write_delay);
   }

@@ -44,22 +44,6 @@ struct PowerManagementConfig {
   bool enable_write_delay = true;
   bool enable_adaptive_period = true;
   bool enable_pattern_change_triggers = true;
-  /// Incremental re-planning (DESIGN.md §12): when the hot/cold partition
-  /// is unchanged since the last period, Algorithm 2 only considers items
-  /// whose classified pattern changed, that moved enclosure since the last
-  /// plan, or that were P3-on-cold last time — and skips placement
-  /// entirely when that union is empty. Plans are provably identical to
-  /// full re-planning, so this is safe to leave on; the flag exists for
-  /// ablation and the equivalence tests.
-  bool enable_incremental_replan = true;
-  /// Enclosure-of cache: maintain the item → post-plan enclosure map and
-  /// the per-enclosure P3 population incrementally (keyed on the
-  /// BlockVirtualization move journal + the classifier's dirty set)
-  /// instead of walking the full item table each period for the cache
-  /// planner's final-enclosure map and the P3-on-cold safety net. The
-  /// resulting plans are identical (set semantics of the safety net);
-  /// the flag exists for the equivalence tests.
-  bool enable_enclosure_cache = true;
 
   Status Validate() const;
 };
@@ -109,21 +93,17 @@ class PowerManagementFunction {
 
   const PowerManagementConfig& config() const { return config_; }
 
-  /// Runs one management decision over a period snapshot.
+  /// Runs one management decision over a period snapshot. The period's
+  /// I/O must already have reached classifier() (BeginPeriod at
+  /// `snapshot.period_start`, then OnLogicalIo per record): Run only
+  /// finalises it (DESIGN.md §13). The caller owns that lifecycle.
   ///
   /// \param force_full bypass the incremental path for this invocation
   ///        (the §V-D sudden-change triggers request this: the trigger
   ///        itself is evidence the pattern landscape shifted).
-  /// \param streaming_ingest the period's I/O already reached the
-  ///        classifier through the monitor sink (DESIGN.md §13): only
-  ///        finalise — never replay snapshot.application->buffer(). The
-  ///        caller owns the BeginPeriod()/ingest lifecycle. When false,
-  ///        the captured trace buffer is replayed into the classifier,
-  ///        which yields the identical result.
   ManagementPlan Run(const monitor::MonitorSnapshot& snapshot,
                      const storage::StorageSystem& system,
-                     SimDuration current_period, bool force_full = false,
-                     bool streaming_ingest = false);
+                     SimDuration current_period, bool force_full = false);
 
   /// The streaming classifier: policies attach it as the monitor's
   /// logical I/O sink and drive BeginPeriod() around Run().

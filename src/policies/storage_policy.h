@@ -67,13 +67,9 @@ class PolicyActuator {
 
   /// Attaches `sink` to the Application Monitor's logical I/O stream so
   /// the policy can fold its period analysis into ingest (DESIGN.md §13).
-  /// Returns true when the runtime supports streaming ingest; the default
-  /// (false) keeps the policy on the captured-trace path. Call from
+  /// Every runtime supports streaming ingest and returns true. Call from
   /// StoragePolicy::Start(); the sink must outlive the run.
-  virtual bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) {
-    (void)sink;
-    return false;
-  }
+  virtual bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) = 0;
 
   /// Event recorder for the run, or nullptr when telemetry is off.
   /// Policies gate recording with telemetry::Wants(actuator->telemetry(),

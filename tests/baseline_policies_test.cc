@@ -14,6 +14,10 @@ namespace ecostore::policies {
 namespace {
 
 struct MockActuator : public PolicyActuator {
+  explicit MockActuator(monitor::ApplicationMonitor* app_monitor)
+      : app_monitor(app_monitor) {}
+
+  monitor::ApplicationMonitor* app_monitor;
   SimTime now = 0;
   std::vector<std::pair<DataItemId, EnclosureId>> migrations;
   std::vector<std::tuple<EnclosureId, EnclosureId, int64_t>> block_moves;
@@ -37,6 +41,10 @@ struct MockActuator : public PolicyActuator {
     spin_down[static_cast<size_t>(enclosure)] = allowed;
   }
   void TriggerImmediatePeriodEnd() override {}
+  bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) override {
+    app_monitor->SetSink(sink);
+    return true;
+  }
 };
 
 class BaselineFixture : public ::testing::Test {
@@ -98,7 +106,7 @@ class BaselineFixture : public ::testing::Test {
 
 TEST_F(BaselineFixture, NoPowerSavingForbidsSpinDown) {
   NoPowerSavingPolicy policy;
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   for (bool allowed : actuator.spin_down) EXPECT_FALSE(allowed);
   EXPECT_EQ(policy.placement_determinations(), 0);
@@ -106,14 +114,14 @@ TEST_F(BaselineFixture, NoPowerSavingForbidsSpinDown) {
 
 TEST_F(BaselineFixture, FixedTimeoutAllowsSpinDownEverywhere) {
   FixedTimeoutPolicy policy;
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   for (bool allowed : actuator.spin_down) EXPECT_TRUE(allowed);
 }
 
 TEST_F(BaselineFixture, PdcConcentratesPopularItems) {
   PdcPolicy policy{PdcPolicy::Options{}};
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   // Item on enclosure 2 is very popular; tail items quiet.
   LogicalRead(0, items_[2], 1000);
@@ -137,7 +145,7 @@ TEST_F(BaselineFixture, PdcSpreadsWhenLoadBudgetExceeded) {
   PdcPolicy::Options options;
   options.load_fraction = 0.001;  // budget ~0.9 IOPS per enclosure
   PdcPolicy policy{options};
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   for (auto item : items_) LogicalRead(0, item, 10000);
   actuator.now = 30 * kMinute;
@@ -149,7 +157,7 @@ TEST_F(BaselineFixture, PdcSpreadsWhenLoadBudgetExceeded) {
 
 TEST_F(BaselineFixture, DdrClassifiesColdAndAllowsSpinDown) {
   DdrPolicy policy{DdrPolicy::Options{}};
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   for (bool allowed : actuator.spin_down) EXPECT_FALSE(allowed);
 
@@ -168,7 +176,7 @@ TEST_F(BaselineFixture, DdrClassifiesColdAndAllowsSpinDown) {
 
 TEST_F(BaselineFixture, DdrMigratesBlocksOffColdEnclosures) {
   DdrPolicy policy{DdrPolicy::Options{}};
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   PhysicalRead(0, 0, 3000);  // enclosure 0 hot
   actuator.now = 10 * kSecond;
@@ -192,7 +200,7 @@ TEST_F(BaselineFixture, DdrCapsPerWindowMigration) {
   DdrPolicy::Options options;
   options.migration_cap_bytes = 100000;
   DdrPolicy policy{options};
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   PhysicalRead(0, 0, 3000);
   actuator.now = 10 * kSecond;
@@ -210,7 +218,7 @@ TEST_F(BaselineFixture, DdrCapsPerWindowMigration) {
 
 TEST_F(BaselineFixture, DdrNoMigrationWhenEverythingCold) {
   DdrPolicy policy{DdrPolicy::Options{}};
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   actuator.now = 10 * kSecond;
   policy.OnPeriodEnd(Snapshot(0, 10 * kSecond), *system_, &actuator);

@@ -12,6 +12,10 @@ namespace ecostore::core {
 namespace {
 
 struct MockActuator : public policies::PolicyActuator {
+  explicit MockActuator(monitor::ApplicationMonitor* app_monitor)
+      : app_monitor(app_monitor) {}
+
+  monitor::ApplicationMonitor* app_monitor;
   SimTime now = 0;
   std::vector<std::pair<DataItemId, EnclosureId>> migrations;
   std::unordered_set<DataItemId> write_delay;
@@ -39,6 +43,10 @@ struct MockActuator : public policies::PolicyActuator {
     spin_down[static_cast<size_t>(enclosure)] = allowed;
   }
   void TriggerImmediatePeriodEnd() override { immediate_triggers++; }
+  bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) override {
+    app_monitor->SetSink(sink);
+    return true;
+  }
 };
 
 class EcoPolicyTest : public ::testing::Test {
@@ -99,7 +107,7 @@ class EcoPolicyTest : public ::testing::Test {
 TEST_F(EcoPolicyTest, StartDisablesSpinDownEverywhere) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   ASSERT_EQ(actuator.spin_down.size(), 2u);
   EXPECT_FALSE(actuator.spin_down[0]);
@@ -110,7 +118,7 @@ TEST_F(EcoPolicyTest, StartDisablesSpinDownEverywhere) {
 TEST_F(EcoPolicyTest, PeriodEndEnactsPlan) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -138,7 +146,7 @@ TEST_F(EcoPolicyTest, PeriodEndEnactsPlan) {
 TEST_F(EcoPolicyTest, HotEnclosureLongGapTriggersReplan) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -159,7 +167,7 @@ TEST_F(EcoPolicyTest, HotEnclosureLongGapTriggersReplan) {
 TEST_F(EcoPolicyTest, ColdGapDoesNotTrigger) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -171,7 +179,7 @@ TEST_F(EcoPolicyTest, ColdGapDoesNotTrigger) {
 TEST_F(EcoPolicyTest, ColdPowerOnStormTriggersReplan) {
   PowerManagementConfig pm;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -190,7 +198,7 @@ TEST_F(EcoPolicyTest, TriggersCanBeDisabled) {
   PowerManagementConfig pm;
   pm.enable_pattern_change_triggers = false;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -207,7 +215,7 @@ TEST_F(EcoPolicyTest, FeatureFlagsSuppressCacheActions) {
   pm.enable_preload = false;
   pm.enable_write_delay = false;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;
@@ -220,7 +228,7 @@ TEST_F(EcoPolicyTest, AdaptivePeriodCanBeDisabled) {
   PowerManagementConfig pm;
   pm.enable_adaptive_period = false;
   EcoStoragePolicy policy(pm);
-  MockActuator actuator;
+  MockActuator actuator(&app_monitor_);
   policy.Start(*system_, &actuator);
   FillPeriodTraffic(520 * kSecond);
   actuator.now = 520 * kSecond;

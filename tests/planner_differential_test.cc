@@ -1,15 +1,18 @@
 // Differential tests for the fleet-scale planners (DESIGN.md §12):
 // the indexed/heap/nth_element implementations in src/core must produce
 // bit-identical plans to the frozen stable_sort reference in
-// bench/legacy_planner.h across randomized fleets, and the incremental
-// re-plan path of PowerManagementFunction must be indistinguishable from
-// full re-planning period after period.
+// bench/legacy_planner.h across randomized fleets, and
+// PowerManagementFunction (enclosure-of cache, incremental re-plan) must
+// be indistinguishable from the frozen full-replan oracle in the same
+// header period after period — on a small fleet and on the fleet
+// benchmark's shape.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/legacy_planner.h"
@@ -22,6 +25,8 @@
 #include "monitor/storage_monitor.h"
 #include "sim/simulator.h"
 #include "storage/storage_system.h"
+#include "tests/test_util.h"
+#include "workload/cloud_block_workload.h"
 
 namespace ecostore::core {
 namespace {
@@ -230,9 +235,105 @@ TEST(PlannerDifferentialTest, CandidatePlanMatchesFullPlan) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental vs full re-planning through PowerManagementFunction, with
-// migrations committing (partially!) between periods.
+// PowerManagementFunction vs the frozen full-replan oracle
+// (legacy::LegacyPowerManagementFunction), period after period, with
+// migrations committing partially, late or never between periods.
 // ---------------------------------------------------------------------
+
+void ExpectSameManagementPlan(const ManagementPlan& got,
+                              const ManagementPlan& want, uint64_t round) {
+  ASSERT_EQ(got.classification->pattern_counts,
+            want.classification->pattern_counts)
+      << "round " << round;
+  ASSERT_EQ(got.partition.n_hot, want.partition.n_hot) << "round " << round;
+  ASSERT_EQ(got.partition.is_hot, want.partition.is_hot)
+      << "round " << round;
+  ASSERT_EQ(got.migrations.size(), want.migrations.size())
+      << "round " << round;
+  for (size_t i = 0; i < got.migrations.size(); ++i) {
+    EXPECT_EQ(got.migrations[i].item, want.migrations[i].item)
+        << "round " << round;
+    EXPECT_EQ(got.migrations[i].to, want.migrations[i].to)
+        << "round " << round;
+  }
+  EXPECT_EQ(got.cache.write_delay, want.cache.write_delay)
+      << "round " << round;
+  ASSERT_EQ(got.cache.preload.size(), want.cache.preload.size())
+      << "round " << round;
+  for (size_t i = 0; i < got.cache.preload.size(); ++i) {
+    EXPECT_EQ(got.cache.preload[i], want.cache.preload[i])
+        << "round " << round;
+  }
+  EXPECT_EQ(got.spin_down_allowed, want.spin_down_allowed)
+      << "round " << round;
+  EXPECT_EQ(got.next_period, want.next_period) << "round " << round;
+}
+
+/// What one differential run exercised (so a pass is not vacuous).
+struct OracleRunStats {
+  bool saw_incremental = false;
+  bool saw_skip = false;
+  int64_t migrations = 0;
+  int64_t commits = 0;
+  int64_t stale_commits = 0;
+};
+
+/// Plans `rounds` periods with the production function and the oracle
+/// side by side and requires identical plans. `fill(round)` records one
+/// period's traffic into `app_monitor` (capturing) and returns its
+/// [start, end) window. Between periods each planned migration commits
+/// at once, commits late — after the *next* period's plan, the stale
+/// move only the move journal reveals — or never; from round
+/// `commit_all_from` on every migration commits at once so the system
+/// converges.
+template <typename Fill>
+OracleRunStats RunAgainstOracle(const PowerManagementConfig& config,
+                                storage::StorageSystem* system,
+                                monitor::ApplicationMonitor* app_monitor,
+                                const monitor::StorageMonitor* storage_monitor,
+                                int rounds, int commit_all_from,
+                                uint64_t commit_seed, Fill fill) {
+  PowerManagementFunction function(config, *system);
+  legacy::LegacyPowerManagementFunction oracle(config, *system);
+  storage::BlockVirtualization& virt = system->virtualization();
+  Xoshiro256 commit_rng(commit_seed);
+  std::vector<Migration> late;
+  OracleRunStats stats;
+  for (int round = 0; round < rounds; ++round) {
+    const auto [start, end] = fill(round);
+    monitor::MonitorSnapshot snapshot;
+    snapshot.period_start = start;
+    snapshot.period_end = end;
+    snapshot.application = app_monitor;
+    snapshot.storage = storage_monitor;
+
+    ManagementPlan got =
+        RunCapturedPeriod(&function, snapshot, *system, 520 * kSecond);
+    ManagementPlan want = oracle.Run(snapshot, *system, 520 * kSecond);
+    ExpectSameManagementPlan(got, want, static_cast<uint64_t>(round));
+    if (::testing::Test::HasFailure()) return stats;
+    stats.saw_incremental |= got.incremental;
+    stats.saw_skip |= got.placement_skipped;
+    stats.migrations += static_cast<int64_t>(got.migrations.size());
+
+    // A move that no longer fits is dropped, as the migration engine
+    // drops it.
+    for (const Migration& mig : late) {
+      stats.stale_commits += virt.MoveItem(mig.item, mig.to).ok() ? 1 : 0;
+    }
+    late.clear();
+    for (const Migration& mig : got.migrations) {
+      const double roll =
+          round >= commit_all_from ? 0.0 : commit_rng.NextDouble();
+      if (roll < 0.5) {
+        stats.commits += virt.MoveItem(mig.item, mig.to).ok() ? 1 : 0;
+      } else if (roll < 0.75) {
+        late.push_back(mig);
+      }
+    }
+  }
+  return stats;
+}
 
 class IncrementalEquivalenceTest : public ::testing::Test {
  protected:
@@ -326,106 +427,40 @@ class IncrementalEquivalenceTest : public ::testing::Test {
   std::vector<DataItemId> items_;
 };
 
-void ExpectSameManagementPlan(const ManagementPlan& inc,
-                              const ManagementPlan& full, uint64_t round) {
-  ASSERT_EQ(inc.partition.n_hot, full.partition.n_hot) << "round " << round;
-  ASSERT_EQ(inc.partition.is_hot, full.partition.is_hot)
-      << "round " << round;
-  ASSERT_EQ(inc.migrations.size(), full.migrations.size())
-      << "round " << round;
-  for (size_t i = 0; i < inc.migrations.size(); ++i) {
-    EXPECT_EQ(inc.migrations[i].item, full.migrations[i].item)
-        << "round " << round;
-    EXPECT_EQ(inc.migrations[i].to, full.migrations[i].to)
-        << "round " << round;
-  }
-  EXPECT_EQ(inc.cache.write_delay, full.cache.write_delay)
-      << "round " << round;
-  ASSERT_EQ(inc.cache.preload.size(), full.cache.preload.size())
-      << "round " << round;
-  for (size_t i = 0; i < inc.cache.preload.size(); ++i) {
-    EXPECT_EQ(inc.cache.preload[i], full.cache.preload[i])
-        << "round " << round;
-  }
-  EXPECT_EQ(inc.spin_down_allowed, full.spin_down_allowed)
-      << "round " << round;
-  EXPECT_EQ(inc.next_period, full.next_period) << "round " << round;
-}
-
-TEST_F(IncrementalEquivalenceTest, MatchesFullReplanAcrossPeriods) {
-  PowerManagementConfig inc_config;
-  inc_config.enable_incremental_replan = true;
-  PowerManagementConfig full_config;
-  full_config.enable_incremental_replan = false;
-  PowerManagementFunction incremental(inc_config, *system_);
-  PowerManagementFunction full(full_config, *system_);
-
+/// The enclosure-of cache, the move-journal fold and the incremental
+/// candidate set must reproduce the full-replan oracle exactly; with
+/// placement off, the P3-count safety net must keep P3 enclosures hot
+/// exactly as the oracle's item walk does.
+TEST_F(IncrementalEquivalenceTest, MatchesFullReplanOracleAcrossPeriods) {
   const SimTime period_end = 520 * kSecond;
-  Xoshiro256 apply_rng(99);
-  bool saw_incremental = false;
-  bool saw_skip = false;
-  // Rounds 4/5 repeat round 3's traffic so the pattern table goes static:
-  // by round 5 every migration has committed, the journal suffix is empty
-  // and the residue is gone — the empty-candidate fast path must engage.
-  const uint64_t traffic_round[] = {0, 1, 2, 3, 3, 3};
-  for (uint64_t round = 0; round < 6; ++round) {
+  // Rounds 4-7 repeat round 3's traffic so the pattern table goes static:
+  // once every migration (late ones included) has committed, the journal
+  // suffix is empty and the residue is gone — the empty-candidate fast
+  // path must engage.
+  const uint64_t traffic_round[] = {0, 1, 2, 3, 3, 3, 3, 3};
+  auto fill = [&](int round) {
     app_monitor_.ResetPeriod(0);
     FillPeriod(traffic_round[round], period_end);
-    monitor::MonitorSnapshot snapshot = Snapshot(period_end);
+    return std::pair<SimTime, SimTime>(0, period_end);
+  };
 
-    ManagementPlan inc_plan =
-        incremental.Run(snapshot, *system_, 520 * kSecond);
-    ManagementPlan full_plan = full.Run(snapshot, *system_, 520 * kSecond);
-    ExpectSameManagementPlan(inc_plan, full_plan, round);
-    saw_incremental |= inc_plan.incremental;
-    saw_skip |= inc_plan.placement_skipped;
+  OracleRunStats stats =
+      RunAgainstOracle(PowerManagementConfig{}, system_.get(),
+                       &app_monitor_, &storage_monitor_, 8,
+                       /*commit_all_from=*/3, /*commit_seed=*/99, fill);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_TRUE(stats.saw_incremental);
+  EXPECT_TRUE(stats.saw_skip);
+  EXPECT_GT(stats.commits, 0);
+  EXPECT_GT(stats.stale_commits, 0);
 
-    // Commit a random subset of the planned migrations (the migration
-    // engine never finishes everything within a period; stale moves can
-    // also land after the next classification — the move journal covers
-    // both). Later rounds apply everything so the system converges.
-    for (const Migration& mig : inc_plan.migrations) {
-      if (round >= 3 || apply_rng.NextDouble() < 0.6) {
-        ASSERT_TRUE(
-            system_->virtualization().MoveItem(mig.item, mig.to).ok());
-      }
-    }
-  }
-  EXPECT_TRUE(saw_incremental);
-  EXPECT_TRUE(saw_skip);
-}
-
-/// The enclosure-of cache (final-enclosure map + P3 count safety net,
-/// refreshed from the move journal instead of a full item-table walk)
-/// must produce plans identical to the legacy full walks, including
-/// across partially committed migrations and stale journal entries.
-TEST_F(IncrementalEquivalenceTest, EnclosureCacheMatchesLegacyWalk) {
-  PowerManagementConfig cached_config;
-  cached_config.enable_enclosure_cache = true;
-  PowerManagementConfig walk_config;
-  walk_config.enable_enclosure_cache = false;
-  PowerManagementFunction cached(cached_config, *system_);
-  PowerManagementFunction walk(walk_config, *system_);
-
-  const SimTime period_end = 520 * kSecond;
-  Xoshiro256 apply_rng(1234);
-  const uint64_t traffic_round[] = {0, 1, 2, 3, 3, 3};
-  for (uint64_t round = 0; round < 6; ++round) {
-    app_monitor_.ResetPeriod(0);
-    FillPeriod(traffic_round[round], period_end);
-    monitor::MonitorSnapshot snapshot = Snapshot(period_end);
-
-    ManagementPlan cached_plan = cached.Run(snapshot, *system_, 520 * kSecond);
-    ManagementPlan walk_plan = walk.Run(snapshot, *system_, 520 * kSecond);
-    ExpectSameManagementPlan(cached_plan, walk_plan, round);
-
-    for (const Migration& mig : cached_plan.migrations) {
-      if (round >= 3 || apply_rng.NextDouble() < 0.6) {
-        ASSERT_TRUE(
-            system_->virtualization().MoveItem(mig.item, mig.to).ok());
-      }
-    }
-  }
+  PowerManagementConfig no_placement;
+  no_placement.enable_placement = false;
+  stats = RunAgainstOracle(no_placement, system_.get(), &app_monitor_,
+                           &storage_monitor_, 8, /*commit_all_from=*/3,
+                           /*commit_seed=*/1234, fill);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(stats.migrations, 0);
 }
 
 /// force_full must bypass the incremental path even when it would apply.
@@ -436,22 +471,83 @@ TEST_F(IncrementalEquivalenceTest, ForceFullBypassesIncremental) {
 
   app_monitor_.ResetPeriod(0);
   FillPeriod(0, period_end);
-  ManagementPlan first =
-      function.Run(Snapshot(period_end), *system_, 520 * kSecond);
+  ManagementPlan first = RunCapturedPeriod(&function, Snapshot(period_end),
+                                           *system_, 520 * kSecond);
   EXPECT_FALSE(first.incremental);
 
   app_monitor_.ResetPeriod(0);
   FillPeriod(0, period_end);
   ManagementPlan second =
-      function.Run(Snapshot(period_end), *system_, 520 * kSecond,
-                   /*force_full=*/true);
+      RunCapturedPeriod(&function, Snapshot(period_end), *system_,
+                        520 * kSecond, /*force_full=*/true);
   EXPECT_FALSE(second.incremental);
 
   app_monitor_.ResetPeriod(0);
   FillPeriod(0, period_end);
-  ManagementPlan third =
-      function.Run(Snapshot(period_end), *system_, 520 * kSecond);
+  ManagementPlan third = RunCapturedPeriod(&function, Snapshot(period_end),
+                                           *system_, 520 * kSecond);
   EXPECT_TRUE(third.incremental);
+}
+
+// ---------------------------------------------------------------------
+// The same differential on the fleet benchmark's shape: 250 enclosures ×
+// 10 volumes × 10 items (25k items) of CloudBlock traffic in consecutive
+// 520 s periods. Registered as its own ctest entry (label `fleet`).
+// ---------------------------------------------------------------------
+
+TEST(ManagementOracleFleetTest, MatchesFullReplanOracleOnFleetShape) {
+  workload::CloudBlockConfig wl_config;
+  wl_config.duration = 1 * kHour;
+  wl_config.num_enclosures = 250;
+  wl_config.volumes_per_enclosure = 10;
+  wl_config.items_per_volume = 10;
+  auto created = workload::CloudBlockWorkload::Create(wl_config);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<workload::CloudBlockWorkload> workload =
+      std::move(created).value();
+
+  sim::Simulator sim;
+  storage::StorageConfig config;
+  config.num_enclosures = wl_config.num_enclosures;
+  storage::StorageSystem system(&sim, config, &workload->catalog());
+  ASSERT_TRUE(system.Init().ok());
+  monitor::ApplicationMonitor app_monitor;
+  monitor::StorageMonitor storage_monitor{wl_config.num_enclosures};
+
+  const SimDuration period = 520 * kSecond;
+  trace::LogicalIoRecord next;
+  bool have_next = false;
+  auto fill = [&](int round) {
+    const SimTime start = round * period;
+    if (round == 0) {
+      workload->Reset();
+      have_next = workload->Next(&next);
+    }
+    app_monitor.ResetPeriod(start);
+    while (have_next && next.time < start + period) {
+      app_monitor.Record(next);
+      have_next = workload->Next(&next);
+    }
+    return std::pair<SimTime, SimTime>(start, start + period);
+  };
+
+  // Six periods cover the benchmark's simulated hour.
+  OracleRunStats stats =
+      RunAgainstOracle(PowerManagementConfig{}, &system, &app_monitor,
+                       &storage_monitor, 6, /*commit_all_from=*/4,
+                       /*commit_seed=*/7, fill);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_TRUE(stats.saw_incremental);
+  EXPECT_GT(stats.commits, 0);
+  EXPECT_GT(stats.stale_commits, 0);
+
+  PowerManagementConfig no_placement;
+  no_placement.enable_placement = false;
+  stats = RunAgainstOracle(no_placement, &system, &app_monitor,
+                           &storage_monitor, 6, /*commit_all_from=*/4,
+                           /*commit_seed=*/7, fill);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(stats.migrations, 0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "core/power_management.h"
 #include "replay/report.h"
 #include "sim/simulator.h"
+#include "tests/test_util.h"
 
 namespace ecostore::core {
 namespace {
@@ -95,7 +96,8 @@ TEST_F(PowerManagementTest, FullPlanConsolidatesAndProtectsPinned) {
   Fill(520 * kSecond);
   PowerManagementFunction function(PowerManagementConfig{}, *system_);
   ManagementPlan plan =
-      function.Run(Snapshot(520 * kSecond), *system_, 520 * kSecond);
+      RunCapturedPeriod(&function, Snapshot(520 * kSecond), *system_,
+                        520 * kSecond);
 
   // busy (enclosure 0) dominates the P3 bytes -> hot; stray moves there.
   EXPECT_TRUE(plan.partition.IsHot(0));
@@ -126,7 +128,8 @@ TEST_F(PowerManagementTest, NoPlacementKeepsP3EnclosuresHot) {
   pm.enable_placement = false;
   PowerManagementFunction function(pm, *system_);
   ManagementPlan plan =
-      function.Run(Snapshot(520 * kSecond), *system_, 520 * kSecond);
+      RunCapturedPeriod(&function, Snapshot(520 * kSecond), *system_,
+                        520 * kSecond);
   EXPECT_TRUE(plan.migrations.empty());
   // Both P3-holding enclosures forced hot; only enclosure 2 cold.
   EXPECT_TRUE(plan.partition.IsHot(0));
@@ -137,7 +140,8 @@ TEST_F(PowerManagementTest, NoPlacementKeepsP3EnclosuresHot) {
 TEST_F(PowerManagementTest, EmptyPeriodYieldsAllP0AllCold) {
   PowerManagementFunction function(PowerManagementConfig{}, *system_);
   ManagementPlan plan =
-      function.Run(Snapshot(520 * kSecond), *system_, 520 * kSecond);
+      RunCapturedPeriod(&function, Snapshot(520 * kSecond), *system_,
+                        520 * kSecond);
   EXPECT_EQ(plan.classification->pattern_counts[0], 4);  // all P0
   EXPECT_EQ(plan.partition.n_hot, 0);
   for (bool allowed : plan.spin_down_allowed) EXPECT_TRUE(allowed);

@@ -38,6 +38,7 @@ Span MakeSpan(int64_t start_ns, int64_t dur_ns, Phase phase,
 }
 
 TEST(ProfilerTest, RecordAndDrain) {
+  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   profiler.Record(MakeSpan(100, 10, Phase::kIngest));
   profiler.Record(MakeSpan(50, 5, Phase::kPlan));
@@ -55,6 +56,7 @@ TEST(ProfilerTest, RecordAndDrain) {
 }
 
 TEST(ProfilerTest, RingWrapAccountsDropped) {
+  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler::Options options;
   options.thread_ring_capacity = 4;
   Profiler profiler(options);
@@ -73,6 +75,7 @@ TEST(ProfilerTest, RingWrapAccountsDropped) {
 }
 
 TEST(ProfilerTest, MultiThreadRingsMergeSorted) {
+  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -95,6 +98,7 @@ TEST(ProfilerTest, MultiThreadRingsMergeSorted) {
 }
 
 TEST(ProfilerTest, ScopedPhaseStampsBindingLaneAndCorrelation) {
+  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   {
     ScopedThreadProfiler bind(&profiler);
@@ -121,6 +125,7 @@ TEST(ProfilerTest, ScopedPhaseStampsBindingLaneAndCorrelation) {
 }
 
 TEST(ProfilerTest, UnboundThreadIsInert) {
+  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler profiler;
   // No ScopedThreadProfiler: phases must not record anywhere.
   { ScopedPhase phase(Phase::kIngest); }
@@ -140,6 +145,7 @@ TEST(ProfilerTest, UnboundThreadIsInert) {
 }
 
 TEST(ProfilerTest, ScopedBindingsRestorePrevious) {
+  if (!Profiler::kEnabled) GTEST_SKIP() << "profiler compiled out";
   Profiler a, b;
   ScopedThreadProfiler bind_a(&a);
   {
