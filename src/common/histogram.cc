@@ -1,22 +1,47 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <limits>
 
 namespace ecostore {
 
-Histogram::Histogram() {
-  // Geometric bucket limits: 1, 2, 3, 5, 8, 12, ... up to > 4e18.
-  int64_t limit = 1;
-  while (limit < std::numeric_limits<int64_t>::max() / 2) {
-    bucket_limits_.push_back(limit);
-    int64_t next = limit + std::max<int64_t>(1, limit / 2);
-    limit = next;
+/// Geometric limits 1, 2, 3, 4, 6, 9, ... up to > 4e18, and first[w]: the
+/// bucket of the smallest value of bit width w. Limits grow by >= 1.5x, so
+/// one width class [2^(w-1), 2^w) spans at most three buckets and BucketFor
+/// needs at most two compares past first[w].
+struct Histogram::Buckets {
+  std::vector<int64_t> limits;
+  std::array<uint8_t, 65> first{};
+
+  Buckets() {
+    int64_t limit = 1;
+    while (limit < std::numeric_limits<int64_t>::max() / 2) {
+      limits.push_back(limit);
+      limit += std::max<int64_t>(1, limit / 2);
+    }
+    limits.push_back(std::numeric_limits<int64_t>::max());
+    assert(limits.size() <= std::numeric_limits<uint8_t>::max());
+    for (int w = 0; w <= 64; ++w) {
+      int64_t lowest = w == 0 ? 0 : int64_t{1} << std::min(w - 1, 62);
+      first[static_cast<size_t>(w)] = static_cast<uint8_t>(
+          std::lower_bound(limits.begin(), limits.end(), lowest) -
+          limits.begin());
+    }
   }
-  bucket_limits_.push_back(std::numeric_limits<int64_t>::max());
-  counts_.assign(bucket_limits_.size(), 0);
+};
+
+Histogram::Histogram() {
+  static const Buckets kBuckets;
+  buckets_ = &kBuckets;
+  counts_.assign(kBuckets.limits.size(), 0);
+}
+
+const std::vector<int64_t>& Histogram::bucket_limits() const {
+  return buckets_->limits;
 }
 
 void Histogram::Reset() {
@@ -28,9 +53,14 @@ void Histogram::Reset() {
 }
 
 size_t Histogram::BucketFor(int64_t value) const {
-  auto it = std::lower_bound(bucket_limits_.begin(), bucket_limits_.end(),
-                             value);
-  return static_cast<size_t>(it - bucket_limits_.begin());
+  // Same bucket as lower_bound(limits, value), in O(1).
+  const std::vector<int64_t>& limits = buckets_->limits;
+  size_t i = buckets_->first[static_cast<size_t>(
+      std::bit_width(static_cast<uint64_t>(std::max<int64_t>(value, 0))))];
+  if (limits[i] < value) ++i;
+  if (limits[i] < value) ++i;
+  assert(limits[i] >= value && (i == 0 || limits[i - 1] < value));
+  return i;
 }
 
 void Histogram::Add(int64_t value) {
@@ -43,7 +73,7 @@ void Histogram::Add(int64_t value) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  assert(bucket_limits_.size() == other.bucket_limits_.size());
+  assert(counts_.size() == other.counts_.size());
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   if (other.count_ > 0) {
     if (count_ == 0 || other.min_ < min_) min_ = other.min_;
@@ -61,8 +91,8 @@ double Histogram::Quantile(double q) const {
   for (size_t i = 0; i < counts_.size(); ++i) {
     if (counts_[i] == 0) continue;
     if (static_cast<double>(seen + counts_[i]) >= target) {
-      int64_t lo = (i == 0) ? 0 : bucket_limits_[i - 1];
-      int64_t hi = std::min(bucket_limits_[i], max_);
+      int64_t lo = (i == 0) ? 0 : buckets_->limits[i - 1];
+      int64_t hi = std::min(buckets_->limits[i], max_);
       double within =
           (target - static_cast<double>(seen)) / static_cast<double>(counts_[i]);
       return static_cast<double>(lo) +

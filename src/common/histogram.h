@@ -41,9 +41,15 @@ class Histogram {
   std::string ToString() const;
 
  private:
-  size_t BucketFor(int64_t value) const;
+  friend class HistogramTestPeer;  // checks BucketFor against the limits
 
-  std::vector<int64_t> bucket_limits_;  // upper bounds, inclusive
+  /// Index of the bucket holding `value`: the first limit >= value.
+  size_t BucketFor(int64_t value) const;
+  /// Inclusive upper bounds of the buckets, the same for every histogram.
+  const std::vector<int64_t>& bucket_limits() const;
+
+  struct Buckets;
+  const Buckets* buckets_;  // built once per process, shared
   std::vector<int64_t> counts_;
   int64_t count_ = 0;
   double sum_ = 0.0;

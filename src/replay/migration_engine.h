@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <memory>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/sim_time.h"
@@ -54,7 +54,13 @@ class MigrationEngineT {
 
   MigrationEngineT(sim::Simulator* simulator, System* system,
                    const Options& options)
-      : sim_(simulator), system_(system), options_(options) {
+      : sim_(simulator),
+        system_(system),
+        options_(options),
+        slots_(static_cast<size_t>(std::max(0, options.max_concurrent_jobs))) {
+    for (int i = 0; i < static_cast<int>(slots_.size()); ++i) {
+      free_slots_.push_back(i);
+    }
     assert(simulator != nullptr);
     assert(system != nullptr);
     assert(options_.chunk_bytes > 0);
@@ -91,7 +97,9 @@ class MigrationEngineT {
   int64_t migrated_bytes() const { return migrated_bytes_; }
   int64_t completed_item_moves() const { return completed_item_moves_; }
   int64_t block_moves() const { return block_moves_; }
-  bool idle() const { return active_jobs_ == 0 && queue_.empty(); }
+  bool idle() const {
+    return free_slots_.size() == slots_.size() && queue_.empty();
+  }
   size_t queued_moves() const { return queue_.size(); }
 
  private:
@@ -103,7 +111,7 @@ class MigrationEngineT {
   };
 
   void FillJobSlots() {
-    while (active_jobs_ < options_.max_concurrent_jobs && !queue_.empty()) {
+    while (!free_slots_.empty() && !queue_.empty()) {
       Job job = queue_.front();
       queue_.pop_front();
       EnclosureId source = system_->virtualization().EnclosureOf(job.item);
@@ -111,18 +119,24 @@ class MigrationEngineT {
       job.source = source;
       job.remaining_bytes =
           system_->virtualization().catalog().item(job.item).size_bytes;
-      active_jobs_++;
+      int slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[static_cast<size_t>(slot)] = job;
       telemetry::Recorder* recorder = system_->telemetry();
       if (telemetry::Wants(recorder, telemetry::kClassMigration)) {
         recorder->Record(telemetry::MakeMigrationEvent(
             sim_->Now(), telemetry::EventKind::kMigrationBegin, job.item,
             job.source, job.target, job.remaining_bytes));
       }
-      RunChunk(std::make_shared<Job>(job));
+      RunChunk(slot);
     }
   }
 
-  void RunChunk(std::shared_ptr<Job> job) {
+  /// Copies the next chunk of the job in `slot`. Pacing and back-off
+  /// events capture only the slot index, which keeps their callbacks in
+  /// std::function's inline buffer (no allocation per chunk).
+  void RunChunk(int slot) {
+    Job* job = &slots_[static_cast<size_t>(slot)];
     // Background priority: stay out of the way while either end is busy
     // with application I/O.
     SimTime now = sim_->Now();
@@ -136,7 +150,7 @@ class MigrationEngineT {
             job->source, job->target, job->remaining_bytes));
       }
       sim_->ScheduleAfter(options_.busy_backoff_delay,
-                          [this, job] { RunChunk(job); });
+                          [this, slot] { RunChunk(slot); });
       return;
     }
 
@@ -151,9 +165,10 @@ class MigrationEngineT {
 
     SimDuration pace = FromSeconds(static_cast<double>(chunk) /
                                    options_.rate_bytes_per_second);
-    sim_->ScheduleAfter(std::max<SimDuration>(pace, 1), [this, job] {
+    sim_->ScheduleAfter(std::max<SimDuration>(pace, 1), [this, slot] {
+      const Job* job = &slots_[static_cast<size_t>(slot)];
       if (job->remaining_bytes > 0) {
-        RunChunk(job);
+        RunChunk(slot);
         return;
       }
       Status st = system_->CommitItemMove(job->item, job->target);
@@ -173,7 +188,7 @@ class MigrationEngineT {
             sim_->Now(), telemetry::EventKind::kMigrationEnd, job->item,
             job->source, job->target, st.ok() ? size : -1));
       }
-      active_jobs_--;
+      free_slots_.push_back(slot);
       FillJobSlots();
     });
   }
@@ -183,7 +198,9 @@ class MigrationEngineT {
   Options options_;
 
   std::deque<Job> queue_;
-  int active_jobs_ = 0;
+  /// One slot per concurrent job; free_slots_ lists the idle ones.
+  std::vector<Job> slots_;
+  std::vector<int> free_slots_;
 
   int64_t migrated_bytes_ = 0;
   int64_t completed_item_moves_ = 0;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -49,7 +50,21 @@ class Simulator {
 
   /// Schedules `cb` at absolute time `when`. Times in the past are clamped
   /// to Now(). Returns an id usable with Cancel().
-  EventId ScheduleAt(SimTime when, Callback cb);
+  EventId ScheduleAt(SimTime when, Callback cb) {
+    return ScheduleAt(when, ReserveSeq(), std::move(cb));
+  }
+
+  /// Takes the insertion sequence number the next ScheduleAt would use,
+  /// without scheduling anything. Paired with the overload below, a caller
+  /// can decide *later* to push an event that sorts exactly where one
+  /// scheduled now would have: the spin-down check chain reserves one
+  /// number per arm and pushes only the arm its chain actually needs.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Schedules `cb` at `when` under a sequence number previously taken
+  /// with ReserveSeq() and not yet used, so same-time ties order as if the
+  /// event had been scheduled at reservation time.
+  EventId ScheduleAt(SimTime when, uint64_t seq, Callback cb);
 
   /// Schedules `cb` after `delay` (>= 0) from Now().
   EventId ScheduleAfter(SimDuration delay, Callback cb);
@@ -105,7 +120,7 @@ class Simulator {
     size_t heap_entries = 0;     ///< in-heap entries incl. tombstones
     size_t tombstones = 0;       ///< cancelled-but-unpopped entries
     size_t peak_heap_depth = 0;  ///< max heap_entries ever observed
-    int64_t scheduled = 0;       ///< total ScheduleAt/ScheduleAfter calls
+    int64_t scheduled = 0;       ///< total events pushed onto the heap
     int64_t cancelled = 0;       ///< successful Cancel() calls
     int64_t executed = 0;        ///< callbacks actually run
   };

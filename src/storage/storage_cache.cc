@@ -204,13 +204,18 @@ void StorageCache::WdClear() {
   wd_size_ = 0;
 }
 
-void StorageCache::WdEraseItem(DataItemId item) {
-  // Cold path (policy period / migration): rebuild without the item's
-  // blocks rather than backward-shifting one key at a time.
+void StorageCache::WdEraseItems(std::vector<DataItemId> items) {
+  // Cold path (policy period / migration): one rebuild for the whole
+  // batch rather than backward-shifting one key at a time.
+  if (items.empty()) return;
+  std::sort(items.begin(), items.end());
   std::vector<WdKey> keep;
   keep.reserve(wd_size_);
   for (const WdKey& k : wd_table_) {
-    if (k.item != kInvalidDataItem && k.item != item) keep.push_back(k);
+    if (k.item != kInvalidDataItem &&
+        !std::binary_search(items.begin(), items.end(), k.item)) {
+      keep.push_back(k);
+    }
   }
   std::fill(wd_table_.begin(), wd_table_.end(), WdKey{});
   wd_size_ = 0;
@@ -368,6 +373,7 @@ std::vector<FlushDemand> StorageCache::SetWriteDelayItems(
   BeginDemands(&demands);
   // Destage dirty blocks of items leaving the set (paper §V-B).
   std::vector<DataItemId> leaving;
+  std::vector<DataItemId> erase;
   for (auto& [id, info] : items_) {
     if (!info.write_delayed && info.wd_dirty == 0) continue;
     if (items.count(id) > 0) continue;
@@ -377,7 +383,7 @@ std::vector<FlushDemand> StorageCache::SetWriteDelayItems(
       AddDemand(id, info.wd_dirty, info.wd_dirty * config_.block_size);
       wd_dirty_total_ -= info.wd_dirty;
       info.wd_dirty = 0;
-      WdEraseItem(id);
+      erase.push_back(id);
     }
     info.write_delayed = false;
     leaving.push_back(id);
@@ -385,6 +391,7 @@ std::vector<FlushDemand> StorageCache::SetWriteDelayItems(
       left->push_back(WdChange{id, flushed, flushed * config_.block_size});
     }
   }
+  WdEraseItems(std::move(erase));
   for (DataItemId id : items) {
     ItemInfo& info = items_[id];
     if (entered != nullptr && !info.write_delayed) entered->push_back(id);
@@ -509,7 +516,7 @@ std::vector<FlushDemand> StorageCache::InvalidateItem(DataItemId item) {
               it->second.wd_dirty * config_.block_size);
     wd_dirty_total_ -= it->second.wd_dirty;
     it->second.wd_dirty = 0;
-    WdEraseItem(item);
+    WdEraseItems({item});
   }
   // Write-delay membership survives invalidation: the item's physical
   // location changed, not the policy's selection.

@@ -236,8 +236,9 @@ class StorageCache {
   bool WdInsert(DataItemId item, int64_t block);
   void WdGrow();
   void WdClear();
-  /// Drops every write-delay block of `item` (rebuilds the table).
-  void WdEraseItem(DataItemId item);
+  /// Drops every write-delay block of the listed items with one table
+  /// rebuild, however many items leave.
+  void WdEraseItems(std::vector<DataItemId> items);
 
   // --- demand aggregation (O(1) per append) ---
   /// Directs subsequent AddDemand calls into `out` (which is NOT cleared).

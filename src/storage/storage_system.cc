@@ -29,6 +29,8 @@ Status StorageSystem::Init() {
   }
   spin_down_allowed_.assign(static_cast<size_t>(config_.num_enclosures),
                             false);
+  spin_down_chain_.assign(static_cast<size_t>(config_.num_enclosures),
+                          SpinDownChain{});
   return virt_.PlaceInitial();
 }
 
@@ -48,28 +50,59 @@ void StorageSystem::NotifyPowerState(EnclosureId enclosure, SimTime at,
   }
 }
 
-void StorageSystem::ArmSpinDownTimer(EnclosureId enclosure) {
-  DiskEnclosure& enc = *enclosures_[static_cast<size_t>(enclosure)];
-  SimTime check_at =
-      std::max(sim_->Now(), enc.busy_until()) + config_.enclosure.spindown_timeout;
-  sim_->ScheduleAt(check_at, [this, enclosure] {
-    DiskEnclosure& e = *enclosures_[static_cast<size_t>(enclosure)];
-    if (spin_down_allowed_[static_cast<size_t>(enclosure)] &&
-        e.EligibleForSpinDown(sim_->Now())) {
-      if (e.PowerOff(sim_->Now())) {
-        if (telemetry::Wants(telemetry_, telemetry::kClassPower)) {
-          // PowerOff already caught the energy integrator up to now, so
-          // this Energy() read is a pure counter load — the probe cannot
-          // perturb the replay's floating-point stream.
-          telemetry_->Record(telemetry::MakePowerEvent(
-              sim_->Now(), enclosure,
-              static_cast<uint8_t>(PowerState::kOff), 0,
-              e.Energy(sim_->Now()), plan_epoch_));
-        }
-        NotifyPowerState(enclosure, sim_->Now(), PowerState::kOff);
-      }
-    }
-  });
+void StorageSystem::ArmSpinDown(EnclosureId enclosure, bool from_io) {
+  const DiskEnclosure& enc = *enclosures_[static_cast<size_t>(enclosure)];
+  SpinDownChain& chain = spin_down_chain_[static_cast<size_t>(enclosure)];
+  SimTime deadline = std::max(sim_->Now(), enc.busy_until()) +
+                     config_.enclosure.spindown_timeout;
+  uint64_t seq = sim_->ReserveSeq();
+  if (!from_io && chain.pending) {
+    // The chain's latest I/O arm may still power off before this
+    // deadline, and with no I/O after it this check can succeed on its
+    // own: it stays a separate event.
+    sim_->ScheduleAt(deadline, seq,
+                     [this, enclosure] { CheckSpinDown(enclosure); });
+    return;
+  }
+  // Every I/O arm moves busy_until forward, so its deadline lies past
+  // every earlier arm's, toggles included.
+  chain.deadline = deadline;
+  chain.seq = seq;
+  if (chain.pending) return;
+  chain.pending = true;
+  sim_->ScheduleAt(deadline, seq,
+                   [this, enclosure] { OnSpinDownChain(enclosure); });
+}
+
+void StorageSystem::OnSpinDownChain(EnclosureId enclosure) {
+  SpinDownChain& chain = spin_down_chain_[static_cast<size_t>(enclosure)];
+  if (chain.deadline > sim_->Now()) {
+    // An I/O armed after this event was pushed, so last_busy_end is past
+    // Now() - timeout and the check here could not power off. Skip to the
+    // latest arm's event, under the sequence number it reserved.
+    sim_->ScheduleAt(chain.deadline, chain.seq,
+                     [this, enclosure] { OnSpinDownChain(enclosure); });
+    return;
+  }
+  chain.pending = false;
+  CheckSpinDown(enclosure);
+}
+
+void StorageSystem::CheckSpinDown(EnclosureId enclosure) {
+  DiskEnclosure& e = *enclosures_[static_cast<size_t>(enclosure)];
+  if (!spin_down_allowed_[static_cast<size_t>(enclosure)] ||
+      !e.EligibleForSpinDown(sim_->Now()) || !e.PowerOff(sim_->Now())) {
+    return;
+  }
+  if (telemetry::Wants(telemetry_, telemetry::kClassPower)) {
+    // PowerOff already caught the energy integrator up to now, so this
+    // Energy() read is a pure counter load — the probe cannot perturb the
+    // replay's floating-point stream.
+    telemetry_->Record(telemetry::MakePowerEvent(
+        sim_->Now(), enclosure, static_cast<uint8_t>(PowerState::kOff), 0,
+        e.Energy(sim_->Now()), plan_epoch_));
+  }
+  NotifyPowerState(enclosure, sim_->Now(), PowerState::kOff);
 }
 
 SimTime StorageSystem::SubmitPhysicalBulk(EnclosureId enclosure,
@@ -112,7 +145,7 @@ SimTime StorageSystem::SubmitPhysicalBulk(EnclosureId enclosure,
   }
   NotifyPhysicalIo(rec);
   if (spin_down_allowed_[static_cast<size_t>(enclosure)]) {
-    ArmSpinDownTimer(enclosure);
+    ArmSpinDown(enclosure, /*from_io=*/true);
   }
   return grant.completion;
 }
@@ -199,7 +232,7 @@ void StorageSystem::BeginPlanEpoch(int32_t plan,
 void StorageSystem::SetSpinDownAllowed(EnclosureId enclosure, bool allowed) {
   bool was = spin_down_allowed_.at(static_cast<size_t>(enclosure));
   spin_down_allowed_[static_cast<size_t>(enclosure)] = allowed;
-  if (allowed && !was) ArmSpinDownTimer(enclosure);
+  if (allowed && !was) ArmSpinDown(enclosure, /*from_io=*/false);
 }
 
 Status StorageSystem::SetWriteDelayItems(

@@ -111,7 +111,7 @@ class StorageSystem {
                              DataItemId item = kInvalidDataItem);
 
   /// Allows or forbids automatic spin-down for an enclosure. Enabling it
-  /// arms the idle timer immediately when already idle.
+  /// arms an idle check at max(now, busy end) + timeout.
   void SetSpinDownAllowed(EnclosureId enclosure, bool allowed);
   bool spin_down_allowed(EnclosureId enclosure) const {
     return spin_down_allowed_.at(static_cast<size_t>(enclosure));
@@ -185,8 +185,28 @@ class StorageSystem {
   /// Applies cache flush demands as bulk sequential writes.
   void ApplyFlushDemands(const std::vector<FlushDemand>& demands);
 
-  /// Arms the idle-timeout spin-down check for an enclosure.
-  void ArmSpinDownTimer(EnclosureId enclosure);
+  /// Idle-timeout spin-down (paper §IV-G). Every physical I/O on a
+  /// spin-down-allowed enclosure, and every false->true SetSpinDownAllowed,
+  /// arms a check at max(now, busy end) + timeout, but the heap holds at
+  /// most one chain event per enclosure (DESIGN.md §8). An arm records its
+  /// deadline and the sequence number its own event would have taken, and
+  /// pushes an event only to start a chain. A toggle arm made while a
+  /// chain is pending stays a one-shot event of its own.
+  void ArmSpinDown(EnclosureId enclosure, bool from_io);
+  /// The chain's event: re-arms at the latest recorded deadline when a
+  /// later I/O has moved it (the check here is then provably a no-op),
+  /// otherwise runs CheckSpinDown.
+  void OnSpinDownChain(EnclosureId enclosure);
+  /// Powers the enclosure off when allowed and idle for the timeout.
+  void CheckSpinDown(EnclosureId enclosure);
+
+  /// Per-enclosure chain state: the latest arm's check time and its
+  /// reserved sequence number, and whether a chain event is in the heap.
+  struct SpinDownChain {
+    SimTime deadline = 0;
+    uint64_t seq = 0;
+    bool pending = false;
+  };
 
   sim::Simulator* sim_;
   StorageConfig config_;
@@ -195,6 +215,7 @@ class StorageSystem {
   StorageCache cache_;
   BlockVirtualization virt_;
   std::vector<bool> spin_down_allowed_;
+  std::vector<SpinDownChain> spin_down_chain_;
   /// End-of-run accounting mask; empty = all enclosures owned (serial).
   std::vector<bool> owned_;
   std::vector<StorageObserver*> observers_;

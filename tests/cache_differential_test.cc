@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/legacy_cache.h"
@@ -148,6 +149,54 @@ TEST_P(CacheDifferentialTest, SlabMatchesMapReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheDifferentialTest,
                          ::testing::Range<uint64_t>(1, 25));
+
+// Several items with dirty write-delay blocks leave in one
+// SetWriteDelayItems call while others stay: the single batched table
+// rebuild must drop exactly the leavers' blocks.
+TEST(CacheDifferentialBatchTest, ManyDirtyItemsLeaveWriteDelayAtOnce) {
+  storage::CacheConfig config = DiffCacheConfig();
+  config.total_bytes = 160 * 4096;
+  config.write_delay_area_bytes = 64 * 4096;  // destage at 32 dirty blocks
+  storage::StorageCache slab(config);
+  legacy::LegacyStorageCache ref(config);
+  std::vector<storage::FlushDemand> scratch;
+
+  constexpr int kItems = 7;
+  constexpr int kBlocks = 3;
+  std::unordered_set<DataItemId> all;
+  for (int i = 0; i < kItems; ++i) all.insert(static_cast<DataItemId>(i));
+  ASSERT_EQ(Normalize(slab.SetWriteDelayItems(all)),
+            Normalize(ref.SetWriteDelayItems(all)));
+  for (int i = 0; i < kItems; ++i) {
+    for (int b = 0; b < kBlocks; ++b) {
+      auto s = slab.Write(i, b * 4096, 4096, &scratch);
+      auto l = ref.Write(i, b * 4096, 4096);
+      ASSERT_TRUE(s.write_delayed);
+      ASSERT_EQ(Normalize(scratch), Normalize(l.destage));
+    }
+  }
+  ASSERT_EQ(slab.write_delay_dirty_blocks(), kItems * kBlocks);
+
+  // Items 0, 2, 3 and 5 leave together; 1, 4 and 6 stay.
+  std::unordered_set<DataItemId> stay = {1, 4, 6};
+  auto demands = Normalize(slab.SetWriteDelayItems(stay));
+  ASSERT_EQ(demands, Normalize(ref.SetWriteDelayItems(stay)));
+  ASSERT_EQ(demands.size(), 4u);
+  EXPECT_EQ(slab.write_delay_dirty_blocks(), ref.write_delay_dirty_blocks());
+  EXPECT_EQ(slab.write_delay_dirty_blocks(), 3 * kBlocks);
+
+  // Stayers still hit in the write-delay area; leavers miss.
+  for (int i = 0; i < kItems; ++i) {
+    auto s = slab.Read(i, 0, kBlocks * 4096, &scratch);
+    auto l = ref.Read(i, 0, kBlocks * 4096);
+    EXPECT_EQ(s.hit_blocks, l.hit_blocks) << "item " << i;
+    EXPECT_EQ(s.miss_blocks, l.miss_blocks) << "item " << i;
+    EXPECT_EQ(s.hit_blocks, stay.count(i) > 0 ? kBlocks : 0) << "item " << i;
+  }
+  EXPECT_EQ(slab.hit_blocks(), ref.hit_blocks());
+  EXPECT_EQ(slab.miss_blocks(), ref.miss_blocks());
+  EXPECT_EQ(Normalize(slab.FlushAll()), Normalize(ref.FlushAll()));
+}
 
 }  // namespace
 }  // namespace ecostore

@@ -2,10 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "common/histogram.h"
 #include "common/random.h"
 
 namespace ecostore {
+
+// Reaches the private bucket lookup for the test below.
+class HistogramTestPeer {
+ public:
+  static size_t BucketFor(const Histogram& h, int64_t value) {
+    return h.BucketFor(value);
+  }
+  static const std::vector<int64_t>& Limits(const Histogram& h) {
+    return h.bucket_limits();
+  }
+};
+
 namespace {
 
 TEST(HistogramTest, EmptyHistogram) {
@@ -78,6 +94,33 @@ TEST(HistogramTest, ToStringMentionsCount) {
   Histogram h;
   h.Add(42);
   EXPECT_NE(h.ToString().find("count=1"), std::string::npos);
+}
+
+// The O(1) bucket lookup agrees with a binary search over the limits at
+// every boundary, one either side of it, and the extremes.
+TEST(HistogramTest, BucketForMatchesLowerBound) {
+  Histogram h;
+  const std::vector<int64_t>& limits = HistogramTestPeer::Limits(h);
+  auto reference = [&](int64_t v) {
+    return static_cast<size_t>(
+        std::lower_bound(limits.begin(), limits.end(), v) - limits.begin());
+  };
+  std::vector<int64_t> probes = {0, std::numeric_limits<int64_t>::max()};
+  for (int64_t limit : limits) {
+    probes.push_back(limit - 1);
+    probes.push_back(limit);
+    if (limit < std::numeric_limits<int64_t>::max()) {
+      probes.push_back(limit + 1);
+    }
+  }
+  for (int w = 0; w < 63; ++w) {
+    probes.push_back(int64_t{1} << w);
+    probes.push_back((int64_t{1} << w) - 1);
+  }
+  for (int64_t v : probes) {
+    EXPECT_EQ(HistogramTestPeer::BucketFor(h, v), reference(v))
+        << "value " << v;
+  }
 }
 
 // Property sweep: for many random datasets, mean is exact and quantiles

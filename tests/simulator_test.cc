@@ -39,6 +39,23 @@ TEST(SimulatorTest, SameTimeFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+// An event pushed later under a reserved sequence number ties as if it had
+// been scheduled at reservation time, also when pushed from a callback.
+TEST(SimulatorTest, ReservedSeqKeepsReservationOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  uint64_t early = sim.ReserveSeq();
+  sim.ScheduleAt(50, [&] { order.push_back(2); });
+  uint64_t late = sim.ReserveSeq();
+  sim.ScheduleAt(50, [&] { order.push_back(4); });
+  sim.ScheduleAt(10, [&] {
+    sim.ScheduleAt(50, late, [&] { order.push_back(3); });
+  });
+  sim.ScheduleAt(50, early, [&] { order.push_back(1); });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(SimulatorTest, PastTimesClampToNow) {
   Simulator sim;
   sim.ScheduleAt(100, [] {});
