@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const std::string profile_base = bench::ParseProfileFlag(argc, argv);
   // --shards=S replays each policy run on the sharded intra-run engine
   // (one experiment spread over S lanes); default 1 keeps the serial
-  // engine and the original shared-workload replay.
+  // engine.
   const int shards = bench::ParseShardsFlag(argc, argv);
   // --capture-only skips the four-policy figure suite and runs just the
   // instrumented capture: what the CI regression gate wants.
@@ -47,15 +47,12 @@ int main(int argc, char** argv) {
   replay::ExperimentConfig config;
   config.power_sample_interval = 60 * kSecond;  // wall-meter sampling
   core::PowerManagementConfig pm;  // Table II defaults
+  const replay::WorkloadFactory make_workload =
+      replay::FactoryFor<workload::FileServerWorkload>(wl_config);
 
   if (capture_only) {
     replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::FileServerWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+    job.workload = make_workload;
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
     return bench::CaptureTelemetry(telemetry_base, std::move(job),
@@ -63,29 +60,11 @@ int main(int argc, char** argv) {
                                    rolling_window, profile_base);
   }
 
-  auto workload = workload::FileServerWorkload::Create(wl_config);
-  if (!workload.ok()) {
-    std::cerr << workload.status().ToString() << "\n";
-    return 1;
-  }
-
+  replay::SuiteOptions options;
+  options.shards = shards;
   Result<std::vector<replay::ExperimentMetrics>> runs =
-      std::vector<replay::ExperimentMetrics>{};
-  if (shards <= 1) {
-    runs = replay::RunSuite(workload.value().get(),
-                            replay::PaperPolicySet(pm), config);
-  } else {
-    replay::WorkloadFactory clone =
-        [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto w = workload::FileServerWorkload::Create(wl_config);
-      if (!w.ok()) return w.status();
-      return std::unique_ptr<workload::Workload>(std::move(w).value());
-    };
-    replay::SuiteOptions options{1};
-    options.shards = shards;
-    runs = replay::ParallelRunSuite(clone, replay::PaperPolicySet(pm),
-                                    config, options);
-  }
+      replay::ParallelRunSuite(make_workload, replay::PaperPolicySet(pm),
+                               config, options);
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;
@@ -122,12 +101,7 @@ int main(int argc, char** argv) {
     // One extra instrumented run of the proposed method (PaperPolicySet
     // index 1), after the figures so the capture shares nothing with them.
     replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::FileServerWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+    job.workload = make_workload;
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
     return bench::CaptureTelemetry(telemetry_base, std::move(job),

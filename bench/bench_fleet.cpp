@@ -69,12 +69,7 @@ int main(int argc, char** argv) {
     core::PowerManagementConfig pm;
     replay::ExperimentJob job;
     job.workload =
-        [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::CloudBlockWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+        replay::FactoryFor<workload::CloudBlockWorkload>(wl_config);
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
     return bench::CaptureTelemetry(telemetry_base, std::move(job),

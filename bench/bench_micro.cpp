@@ -1395,13 +1395,8 @@ int WriteBenchPerfJson(const char* path_override) {
     }
   });
 
-  // End-to-end replay throughput, new code vs the seed build's figures.
-  // The seed numbers were measured on this machine from commit 2bf6bdc
-  // with this exact harness; the fingerprints pin the simulated outcome,
-  // so the speedup is apples-to-apples by construction.
-  constexpr double kSeedReplayEcoLiosPerSec = 1493682.0;
-  constexpr double kSeedReplayNpsLiosPerSec = 1813872.0;
-  constexpr double kSeedSimulatorEventsPerSec = 5783775.0;
+  // End-to-end replay throughput. The fingerprints pin the simulated
+  // outcome of the measured runs (and the overhead arms below).
   constexpr uint64_t kSeedReplayEcoFingerprint = 0xe44f2708f6e0f001ull;
   constexpr uint64_t kSeedReplayNpsFingerprint = 0x5da2bb45a09019c0ull;
   ReplayFigure eco = MeasureReplayThroughput(true);
@@ -1561,16 +1556,8 @@ int WriteBenchPerfJson(const char* path_override) {
                static_cast<long long>(eco.logical_ios));
   std::fprintf(out, "    \"eco_storage_lios_per_sec\": %.0f,\n",
                eco.lios_per_sec);
-  std::fprintf(out, "    \"eco_storage_seed_lios_per_sec\": %.0f,\n",
-               kSeedReplayEcoLiosPerSec);
-  std::fprintf(out, "    \"eco_storage_speedup\": %.2f,\n",
-               eco.lios_per_sec / kSeedReplayEcoLiosPerSec);
-  std::fprintf(out, "    \"no_power_saving_lios_per_sec\": %.0f,\n",
+  std::fprintf(out, "    \"no_power_saving_lios_per_sec\": %.0f\n",
                nps.lios_per_sec);
-  std::fprintf(out, "    \"no_power_saving_seed_lios_per_sec\": %.0f,\n",
-               kSeedReplayNpsLiosPerSec);
-  std::fprintf(out, "    \"no_power_saving_speedup\": %.2f\n",
-               nps.lios_per_sec / kSeedReplayNpsLiosPerSec);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"sharded_replay\": {\n");
   std::fprintf(out, "    \"workload\": \"file_server_120enc_20min\",\n");
@@ -1665,8 +1652,6 @@ int WriteBenchPerfJson(const char* path_override) {
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"simulator_schedule_events_per_sec\": %.0f,\n",
                sim_rate);
-  std::fprintf(out, "  \"simulator_seed_schedule_events_per_sec\": %.0f,\n",
-               kSeedSimulatorEventsPerSec);
   std::fprintf(out, "  \"simulator_cancel_heavy_events_per_sec\": %.0f\n",
                sim_cancel_rate);
   std::fprintf(out, "}\n");
@@ -1684,12 +1669,9 @@ int WriteBenchPerfJson(const char* path_override) {
               static_cast<long long>(stream_records),
               stream_batch_rate / 1e6, stream_next_rate / 1e6,
               stream_batch_rate / stream_next_rate);
-  std::printf("replay end-to-end: eco %.2fM lios/s (seed %.2fM, %.2fx), "
-              "no_power_saving %.2fM lios/s (seed %.2fM, %.2fx)\n",
-              eco.lios_per_sec / 1e6, kSeedReplayEcoLiosPerSec / 1e6,
-              eco.lios_per_sec / kSeedReplayEcoLiosPerSec,
-              nps.lios_per_sec / 1e6, kSeedReplayNpsLiosPerSec / 1e6,
-              nps.lios_per_sec / kSeedReplayNpsLiosPerSec);
+  std::printf("replay end-to-end: eco %.2fM lios/s, no_power_saving %.2fM "
+              "lios/s\n",
+              eco.lios_per_sec / 1e6, nps.lios_per_sec / 1e6);
   std::printf("sharded replay (120 enclosures, %u host cpus): S=8 %.2fM "
               "vs S=1 %.2fM lios/s (%.2fx)\n",
               host_cpus, shard8.lios_per_sec / 1e6,
@@ -1732,10 +1714,9 @@ int WriteBenchPerfJson(const char* path_override) {
               static_cast<double>(classify_scale.trace_bytes) /
                   (1024.0 * 1024.0),
               static_cast<long long>(classify_scale.migrations));
-  std::printf("simulator: schedule+run %.2fM ev/s (seed %.2fM), "
-              "cancel-heavy %.2fM ev/s -> %s\n",
-              sim_rate / 1e6, kSeedSimulatorEventsPerSec / 1e6,
-              sim_cancel_rate / 1e6, path);
+  std::printf("simulator: schedule+run %.2fM ev/s, cancel-heavy %.2fM "
+              "ev/s -> %s\n",
+              sim_rate / 1e6, sim_cancel_rate / 1e6, path);
 
   int failed = 0;
   for (const OverheadFigure* f :

@@ -39,12 +39,7 @@ int main(int argc, char** argv) {
     replay::ExperimentConfig config;
     core::PowerManagementConfig pm;
     replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::OltpWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+    job.workload = replay::FactoryFor<workload::OltpWorkload>(wl_config);
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
     // The OLTP stream emits ~7.5M events in quick mode; the default 2M
@@ -98,12 +93,7 @@ int main(int argc, char** argv) {
     // One extra instrumented run of the proposed method, after the
     // figures so the capture shares nothing with them.
     replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::OltpWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+    job.workload = replay::FactoryFor<workload::OltpWorkload>(wl_config);
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
     return bench::CaptureTelemetry(telemetry_base, std::move(job),

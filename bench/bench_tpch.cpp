@@ -35,17 +35,14 @@ int main(int argc, char** argv) {
   workload::DssConfig wl_config;
   wl_config.duration = bench::MaybeShorten(6 * kHour, 90 * kMinute);
   if (bench::QuickMode()) wl_config.scale = 0.2;
+  const replay::WorkloadFactory make_workload =
+      replay::FactoryFor<workload::DssWorkload>(wl_config);
 
   if (capture_only) {
     replay::ExperimentConfig config;
     core::PowerManagementConfig pm;
     replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::DssWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+    job.workload = make_workload;
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
     // DSS scans are I/O-dense like OLTP: give the capture the large
@@ -62,24 +59,11 @@ int main(int argc, char** argv) {
 
   replay::ExperimentConfig config;
   core::PowerManagementConfig pm;
-  // Serial (default) keeps the original shared-instance replay;
   // --threads=N>1 runs the four policies concurrently, each against its
   // own deterministic workload clone (identical trace, same figures).
   Result<std::vector<replay::ExperimentMetrics>> runs =
-      std::vector<replay::ExperimentMetrics>{};
-  if (threads <= 1) {
-    runs = replay::RunSuite(workload.value().get(),
-                            replay::PaperPolicySet(pm), config);
-  } else {
-    replay::WorkloadFactory clone =
-        [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto w = workload::DssWorkload::Create(wl_config);
-      if (!w.ok()) return w.status();
-      return std::unique_ptr<workload::Workload>(std::move(w).value());
-    };
-    runs = replay::ParallelRunSuite(clone, replay::PaperPolicySet(pm),
-                                    config, replay::SuiteOptions{threads});
-  }
+      replay::ParallelRunSuite(make_workload, replay::PaperPolicySet(pm),
+                               config, replay::SuiteOptions{threads});
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;
@@ -130,12 +114,7 @@ int main(int argc, char** argv) {
     // One extra instrumented run of the proposed method, after the
     // figures so the capture shares nothing with them.
     replay::ExperimentJob job;
-    job.workload = [wl_config]() -> Result<std::unique_ptr<workload::Workload>> {
-      auto wl = workload::DssWorkload::Create(wl_config);
-      if (!wl.ok()) return wl.status();
-      return Result<std::unique_ptr<workload::Workload>>(
-          std::move(wl).value());
-    };
+    job.workload = make_workload;
     job.policy = replay::PaperPolicySet(pm)[1];
     job.config = config;
     return bench::CaptureTelemetry(telemetry_base, std::move(job),

@@ -10,6 +10,7 @@
 #include "replay/metrics.h"
 #include "replay/migration_engine.h"
 #include "sim/simulator.h"
+#include "storage/power_meter.h"
 #include "storage/storage_system.h"
 #include "telemetry/profile/profiler.h"
 #include "telemetry/stream_consumer.h"
@@ -25,9 +26,6 @@ struct ExperimentConfig {
   SimDuration duration = 0;
 
   MigrationEngine::Options migration;
-
-  /// Collect the idle-gap list for Fig. 17-19 style analysis.
-  bool collect_idle_gaps = true;
 
   /// Sampling interval for the wall power meter; 0 disables sampling.
   SimDuration power_sample_interval = 0;
@@ -61,6 +59,121 @@ struct ExperimentConfig {
   telemetry::profile::Profiler* profiler = nullptr;
 };
 
+/// \brief The skeleton both replay engines share (DESIGN.md §5, §11): the
+/// run prologue and epilogue, the monitoring-period protocol (paper §V-D:
+/// the management function runs at every period end, and a sudden pattern
+/// change re-triggers it early) and the final accounting.
+///
+/// An engine supplies only what differs: how it builds and replays (the
+/// serial hot loop, or the sharded lanes and epochs), how it closes the
+/// run, and where each enclosure is served. No hook runs per logical I/O;
+/// both hot loops account each I/O through the inline
+/// ExperimentMetrics::RecordLogicalIo.
+class ReplayEngine : public policies::PolicyActuator {
+ public:
+  ~ReplayEngine() override;
+
+  ReplayEngine(const ReplayEngine&) = delete;
+  ReplayEngine& operator=(const ReplayEngine&) = delete;
+
+  // --- policies::PolicyActuator (the engine-independent part) ---
+  SimTime Now() const override { return sim_.Now(); }
+  /// Replaces the pending period end with one due now. Calls made while a
+  /// period end runs, or while a triggered one is still pending, are
+  /// no-ops: a burst of triggers at one instant adds one period end.
+  void TriggerImmediatePeriodEnd() override;
+  bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) override {
+    app_monitor_.SetSink(sink);
+    return true;
+  }
+  telemetry::Recorder* telemetry() const override {
+    return config_.telemetry;
+  }
+
+ protected:
+  ReplayEngine(workload::Workload* workload, policies::StoragePolicy* policy,
+               const ExperimentConfig& config);
+
+  /// One whole run: the horizon check, system_ and the storage monitor,
+  /// Build(), the thread bindings, the monitor resets, the policy's Start,
+  /// the first period, Replay(), then Finalize(), the shared accounting
+  /// and the closing stream pump.
+  Result<ExperimentMetrics> RunReplay();
+
+  /// Builds the engine's own state once system_ and storage_monitor_
+  /// exist.
+  virtual Status Build() = 0;
+  /// Starts the engine's power meters (after the policy's Start and the
+  /// first period end are scheduled, so equal-time events keep their
+  /// order) and replays the trace up to the horizon.
+  virtual Status Replay() = 0;
+  /// Brings every clock to the horizon, closes the run's physical state
+  /// and folds the engine's partials into `m`: volume counters,
+  /// histograms, tag stats and idle gaps where the hot loop kept them
+  /// elsewhere, power samples, and the event counts of any simulator
+  /// besides sim_ (whose own counts Account() adds).
+  virtual void Finalize(ExperimentMetrics* m) = 0;
+  /// The enclosure object that served `id`'s I/O during the run.
+  virtual storage::DiskEnclosure& ServingEnclosure(EnclosureId id) = 0;
+  virtual const MigrationCounters& migration_counters() const = 0;
+  /// Runs as a period-end event: opens the engine's profiler tags and
+  /// calls EndPeriod().
+  virtual void DoPeriodEnd() = 0;
+  /// Delivers storage callbacks the engine has buffered (the sharded lane
+  /// hooks) before policy code reads the monitors. The serial engine
+  /// delivers them inline, so it has nothing to do.
+  virtual void DeliverLaneCallbacks() {}
+
+  /// The period-end body: snapshot, the policy's management function,
+  /// the period and sim-stats events, the monitor resets, and the next
+  /// period (floored at 1 s).
+  void EndPeriod();
+  int32_t period_index() const { return period_index_; }
+
+  /// Streaming pump (ExperimentConfig::stream): StreamDue is one compare
+  /// against the next window mark; PumpStream drains the recorder into the
+  /// dispatcher below `frontier`, which must be a time no later event can
+  /// precede, and sets the next mark one window past frontier's window.
+  bool StreamDue(SimTime t) const { return t >= next_stream_mark_; }
+  void PumpStream(SimTime frontier);
+
+  /// Captureless sim clock for logger bridges (common/ cannot see sim/).
+  static SimTime SimClock(const void* simulator);
+
+  workload::Workload* workload_;
+  policies::StoragePolicy* policy_;
+  ExperimentConfig config_;
+
+  /// The run clock: the serial engine's only simulator, the sharded
+  /// coordinator's (period ends, migration pacing, triggers).
+  sim::Simulator sim_;
+  /// The storage system the policy sees. The serial engine serves I/O on
+  /// it; the sharded engine keeps it as the authoritative placement
+  /// master and serves I/O on its lanes.
+  std::unique_ptr<storage::StorageSystem> system_;
+  monitor::ApplicationMonitor app_monitor_;
+  std::unique_ptr<monitor::StorageMonitor> storage_monitor_;
+  /// Run measurements; both hot loops add to it (the sharded one via its
+  /// lanes' partials, folded in by Finalize()).
+  ExperimentMetrics metrics_;
+  SimDuration horizon_ = 0;
+  SimDuration stream_window_ = kMinute;
+
+ private:
+  void SchedulePeriodEnd(SimDuration period);
+  /// The final accounting both engines share; per-enclosure energies are
+  /// summed in enclosure order, StorageSystem::EnclosureEnergy()'s order.
+  void Account();
+
+  sim::EventId period_event_ = 0;
+  int32_t period_index_ = 0;
+  bool in_period_end_ = false;
+  bool trigger_pending_ = false;
+
+  telemetry::StreamDispatcher* stream_ = nullptr;
+  SimTime next_stream_mark_ = 0;
+};
+
 /// \brief The trace-replay harness (paper §VII-A.2 / Fig. 7): streams a
 /// workload's logical I/O into the simulated array under the control of
 /// one power-management policy and measures power, response times and
@@ -70,18 +183,14 @@ struct ExperimentConfig {
 /// pair. The workload is Reset() at the start of Run(), so the same
 /// workload object can be reused across runs and every policy sees the
 /// identical trace.
-class Experiment : public storage::StorageObserver,
-                   public policies::PolicyActuator {
+class Experiment : public storage::StorageObserver, public ReplayEngine {
  public:
   Experiment(workload::Workload* workload, policies::StoragePolicy* policy,
              const ExperimentConfig& config);
   ~Experiment() override;
 
-  Experiment(const Experiment&) = delete;
-  Experiment& operator=(const Experiment&) = delete;
-
   /// Executes the run to completion and returns the measurements.
-  Result<ExperimentMetrics> Run();
+  Result<ExperimentMetrics> Run() { return RunReplay(); }
 
   // --- storage::StorageObserver ---
   void OnPhysicalIo(const trace::PhysicalIoRecord& rec) override;
@@ -91,7 +200,6 @@ class Experiment : public storage::StorageObserver,
                           storage::PowerState state) override;
 
   // --- policies::PolicyActuator ---
-  SimTime Now() const override { return sim_.Now(); }
   void RequestMigration(DataItemId item, EnclosureId target) override;
   void RequestBlockMigration(EnclosureId from, EnclosureId to,
                              int64_t bytes) override;
@@ -100,16 +208,8 @@ class Experiment : public storage::StorageObserver,
   void SetPreloadItems(
       const std::vector<std::pair<DataItemId, int64_t>>& items) override;
   void SetSpinDownAllowed(EnclosureId enclosure, bool allowed) override;
-  void TriggerImmediatePeriodEnd() override;
   void PublishPlan(int32_t plan_id,
                    const std::vector<uint8_t>& item_patterns) override;
-  bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) override {
-    app_monitor_.SetSink(sink);
-    return true;
-  }
-  telemetry::Recorder* telemetry() const override {
-    return config_.telemetry;
-  }
 
   /// The storage system under test (valid during and after Run()).
   storage::StorageSystem* system() { return system_.get(); }
@@ -120,27 +220,22 @@ class Experiment : public storage::StorageObserver,
   }
 
  private:
-  void SchedulePeriodEnd(SimDuration period);
-  void DoPeriodEnd();
+  // --- ReplayEngine ---
+  Status Build() override;
+  Status Replay() override;
+  void Finalize(ExperimentMetrics* m) override;
+  storage::DiskEnclosure& ServingEnclosure(EnclosureId id) override {
+    return system_->enclosure(id);
+  }
+  const MigrationCounters& migration_counters() const override {
+    return *migrations_;
+  }
+  void DoPeriodEnd() override;
 
-  workload::Workload* workload_;
-  policies::StoragePolicy* policy_;
-  ExperimentConfig config_;
-
-  sim::Simulator sim_;
-  std::unique_ptr<storage::StorageSystem> system_;
   std::unique_ptr<MigrationEngine> migrations_;
-  monitor::ApplicationMonitor app_monitor_;
-  std::unique_ptr<monitor::StorageMonitor> storage_monitor_;
+  std::unique_ptr<storage::PowerMeter> meter_;
 
-  ExperimentMetrics metrics_;
-  SimDuration horizon_ = 0;
-  sim::EventId period_event_ = 0;
-  int32_t period_index_ = 0;
-  bool in_period_end_ = false;
-  bool trigger_pending_ = false;
-
-  /// Records pulled per Workload::NextBatch call in Run()'s hot loop.
+  /// Records pulled per Workload::NextBatch call in Replay()'s hot loop.
   static constexpr size_t kReplayBatch = 256;
   /// Reused batch scratch; no allocation per batch in steady state.
   std::vector<trace::LogicalIoRecord> batch_;

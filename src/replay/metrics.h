@@ -10,6 +10,7 @@
 #include "common/types.h"
 #include "common/units.h"
 #include "storage/power_meter.h"
+#include "trace/io_record.h"
 
 namespace ecostore::replay {
 
@@ -96,6 +97,36 @@ struct ExperimentMetrics {
 
   // --- Sampled power time series (when sampling was enabled) ---
   std::vector<storage::PowerSample> power_samples;
+
+  /// Accounts one replayed logical I/O: the volume counters, the two
+  /// response histograms and the per-tag stats (a single map probe: one
+  /// node holds the read-response sum, the read count and the
+  /// first-issue/last-completion bracket). Inline because both replay
+  /// engines' hot loops run it once per logical I/O.
+  void RecordLogicalIo(const trace::LogicalIoRecord& rec, SimDuration latency,
+                       bool cache_hit) {
+    logical_ios++;
+    if (cache_hit) cache_hit_ios++;
+    response_us.Add(latency);
+    const bool is_read = rec.is_read();
+    if (is_read) {
+      logical_reads++;
+      read_response_us.Add(latency);
+    }
+    if (rec.tag != 0) {
+      auto [it, inserted] = tag_stats.try_emplace(rec.tag);
+      TagStats& stats = it->second;
+      if (inserted) stats.first_issue = rec.time;
+      if (is_read) {
+        stats.read_response_us_sum += static_cast<double>(latency);
+        stats.reads++;
+      }
+      const SimTime completion = rec.time + latency;
+      if (completion > stats.last_completion) {
+        stats.last_completion = completion;
+      }
+    }
+  }
 
   /// Evaluates the Fig. 17-19 curve at the given thresholds.
   std::vector<IntervalCdfPoint> IntervalCdf(

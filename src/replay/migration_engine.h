@@ -47,8 +47,22 @@ struct MigrationOptions {
   SimDuration busy_backoff_delay = 500 * kMillisecond;
 };
 
+/// Run totals every MigrationEngineT instantiation keeps; the replay
+/// engines' shared final accounting reads them through this base.
+class MigrationCounters {
+ public:
+  int64_t migrated_bytes() const { return migrated_bytes_; }
+  int64_t completed_item_moves() const { return completed_item_moves_; }
+  int64_t block_moves() const { return block_moves_; }
+
+ protected:
+  int64_t migrated_bytes_ = 0;
+  int64_t completed_item_moves_ = 0;
+  int64_t block_moves_ = 0;
+};
+
 template <typename System>
-class MigrationEngineT {
+class MigrationEngineT : public MigrationCounters {
  public:
   using Options = MigrationOptions;
 
@@ -94,9 +108,6 @@ class MigrationEngineT {
     block_moves_++;
   }
 
-  int64_t migrated_bytes() const { return migrated_bytes_; }
-  int64_t completed_item_moves() const { return completed_item_moves_; }
-  int64_t block_moves() const { return block_moves_; }
   bool idle() const {
     return free_slots_.size() == slots_.size() && queue_.empty();
   }
@@ -201,10 +212,6 @@ class MigrationEngineT {
   /// One slot per concurrent job; free_slots_ lists the idle ones.
   std::vector<Job> slots_;
   std::vector<int> free_slots_;
-
-  int64_t migrated_bytes_ = 0;
-  int64_t completed_item_moves_ = 0;
-  int64_t block_moves_ = 0;
 };
 
 /// The serial engine: migrations run directly against the one

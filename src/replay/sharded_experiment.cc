@@ -1,26 +1,14 @@
 #include "replay/sharded_experiment.h"
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
-#include "monitor/snapshot.h"
 #include "storage/power_meter.h"
 #include "telemetry/profile/profiler.h"
 
 namespace ecostore::replay {
-
-namespace {
-
-/// Captureless sim clock for the logger bridge (common/ cannot see sim/).
-SimTime SimClock(const void* s) {
-  return static_cast<const sim::Simulator*>(s)->Now();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Lane: one shard's private world — event heap, masked storage system,
@@ -29,7 +17,6 @@ SimTime SimClock(const void* s) {
 
 struct ShardedExperiment::Lane final : storage::StorageObserver {
   int shard_id = 0;
-  bool collect_idle_gaps = true;
 
   sim::Simulator sim;
   std::unique_ptr<storage::StorageSystem> system;
@@ -51,7 +38,7 @@ struct ShardedExperiment::Lane final : storage::StorageObserver {
     EnclosureId enclosure = kInvalidEnclosure;
     SimDuration gap = 0;
     storage::PowerState state = storage::PowerState::kOn;
-    trace::PhysicalIoRecord rec;
+    trace::PhysicalIoRecord rec{};
   };
   std::vector<Hook> hooks;
 
@@ -62,33 +49,21 @@ struct ShardedExperiment::Lane final : storage::StorageObserver {
   // coordinator thread during barrier work) ---
   void OnPhysicalIo(const trace::PhysicalIoRecord& rec) override {
     partial.physical_batches++;
-    Hook h;
-    h.kind = Hook::Kind::kPhysicalIo;
-    h.at = rec.time;
-    h.enclosure = rec.enclosure;
-    h.rec = rec;
-    hooks.push_back(h);
+    hooks.push_back({.kind = Hook::Kind::kPhysicalIo, .at = rec.time,
+                     .enclosure = rec.enclosure, .rec = rec});
   }
 
   void OnIdleGapEnd(EnclosureId enclosure, SimTime at,
                     SimDuration gap) override {
-    if (collect_idle_gaps) partial.idle_gaps.push_back(gap);
-    Hook h;
-    h.kind = Hook::Kind::kIdleGap;
-    h.at = at;
-    h.enclosure = enclosure;
-    h.gap = gap;
-    hooks.push_back(h);
+    partial.idle_gaps.push_back(gap);
+    hooks.push_back({.kind = Hook::Kind::kIdleGap, .at = at,
+                     .enclosure = enclosure, .gap = gap});
   }
 
   void OnPowerStateChange(EnclosureId enclosure, SimTime at,
                           storage::PowerState state) override {
-    Hook h;
-    h.kind = Hook::Kind::kPowerState;
-    h.at = at;
-    h.enclosure = enclosure;
-    h.state = state;
-    hooks.push_back(h);
+    hooks.push_back({.kind = Hook::Kind::kPowerState, .at = at,
+                     .enclosure = enclosure, .state = state});
   }
 
   /// One epoch: submit this lane's records with the serial engine's exact
@@ -103,29 +78,7 @@ struct ShardedExperiment::Lane final : storage::StorageObserver {
       }
 
       storage::StorageSystem::IoResult result = system->SubmitLogicalIo(rec);
-
-      partial.logical_ios++;
-      if (result.cache_hit) partial.cache_hit_ios++;
-      int64_t latency_us = result.latency;
-      partial.response_us.Add(latency_us);
-      bool is_read = rec.is_read();
-      if (is_read) {
-        partial.logical_reads++;
-        partial.read_response_us.Add(latency_us);
-      }
-      if (rec.tag != 0) {
-        auto [it, inserted] = partial.tag_stats.try_emplace(rec.tag);
-        ExperimentMetrics::TagStats& stats = it->second;
-        if (inserted) stats.first_issue = rec.time;
-        if (is_read) {
-          stats.read_response_us_sum += static_cast<double>(latency_us);
-          stats.reads++;
-        }
-        SimTime completion = rec.time + result.latency;
-        if (completion > stats.last_completion) {
-          stats.last_completion = completion;
-        }
-      }
+      partial.RecordLogicalIo(rec, result.latency, result.cache_hit);
     }
     inbox.clear();
     // Fire everything due through the barrier (events exactly at t_stop
@@ -146,7 +99,7 @@ class ShardedExperiment::ShardRouter {
   explicit ShardRouter(ShardedExperiment* owner) : owner_(owner) {}
 
   const storage::BlockVirtualization& virtualization() const {
-    return owner_->master_->virtualization();
+    return owner_->system_->virtualization();
   }
 
   storage::DiskEnclosure& enclosure(EnclosureId id) {
@@ -168,7 +121,7 @@ class ShardedExperiment::ShardRouter {
   /// target lane. The displaced dirty blocks are rewritten at the item's
   /// new home by the target lane, as the serial engine does.
   Status CommitItemMove(DataItemId item, EnclosureId target) {
-    storage::StorageSystem& master = *owner_->master_;
+    storage::StorageSystem& master = *owner_->system_;
     EnclosureId source = master.virtualization().EnclosureOf(item);
     ECOSTORE_RETURN_NOT_OK(master.virtualization().MoveItem(item, target));
     for (auto& lane : owner_->lanes_) {
@@ -216,8 +169,7 @@ ShardedExperiment::ShardedExperiment(workload::Workload* workload,
                                      policies::StoragePolicy* policy,
                                      const ExperimentConfig& config,
                                      int shards, int worker_threads)
-    : workload_(workload), policy_(policy), config_(config) {
-  config_.storage.num_enclosures = workload->info().num_enclosures;
+    : ReplayEngine(workload, policy, config) {
   int max_shards = std::max(1, config_.storage.num_enclosures);
   shard_map_.shards = std::clamp(shards, 1, max_shards);
   if (worker_threads > 0) {
@@ -238,29 +190,20 @@ Result<ExperimentMetrics> ShardedExperiment::Run() {
     Experiment serial(workload_, policy_, config_);
     return serial.Run();
   }
-  return RunSharded();
+  // The coordinator's own events (periods, migration control, the final
+  // controller energy, log lines) are tagged kCoordinatorShard — it sorts
+  // after every lane at equal timestamps, matching the barrier protocol
+  // (coordinator work runs after lane work at each t_stop).
+  telemetry::ScopedShardTag coordinator_tag(telemetry::kCoordinatorShard);
+  return RunReplay();
 }
 
-Result<ExperimentMetrics> ShardedExperiment::RunSharded() {
-  auto wall_start = std::chrono::steady_clock::now();
-  horizon_ = config_.duration > 0 ? config_.duration
-                                  : workload_->info().duration;
-  if (horizon_ <= 0) {
-    return Status::InvalidArgument("experiment duration must be positive");
-  }
-
+Status ShardedExperiment::Build() {
   const int num_enclosures = config_.storage.num_enclosures;
-  const int S = shard_map_.shards;
-
-  master_ = std::make_unique<storage::StorageSystem>(
-      &sim_, config_.storage, &workload_->catalog());
-  ECOSTORE_RETURN_NOT_OK(master_->Init());
-
   lanes_.clear();
-  for (int s = 0; s < S; ++s) {
+  for (int s = 0; s < shard_map_.shards; ++s) {
     auto lane = std::make_unique<Lane>();
     lane->shard_id = s;
-    lane->collect_idle_gaps = config_.collect_idle_gaps;
     lane->system = std::make_unique<storage::StorageSystem>(
         &lane->sim, config_.storage, &workload_->catalog());
     ECOSTORE_RETURN_NOT_OK(lane->system->Init());
@@ -283,49 +226,18 @@ Result<ExperimentMetrics> ShardedExperiment::RunSharded() {
   router_ = std::make_unique<ShardRouter>(this);
   migrations_ = std::make_unique<MigrationEngineT<ShardRouter>>(
       &sim_, router_.get(), config_.migration);
-  storage_monitor_ =
-      std::make_unique<monitor::StorageMonitor>(num_enclosures);
   pool_ = std::make_unique<ThreadPool>(worker_threads_);
 
-  // The coordinator's own events (periods, migration control, the final
-  // controller energy, log lines) are tagged kCoordinatorShard — it sorts
-  // after every lane at equal timestamps, matching the barrier protocol
-  // (coordinator work runs after lane work at each t_stop).
-  telemetry::ScopedShardTag coordinator_tag(telemetry::kCoordinatorShard);
-  telemetry::ScopedLoggerBridge logger_bridge(config_.telemetry, &SimClock,
-                                              &sim_);
-  // Wall-clock profiling (DESIGN.md §15): the coordinator is lane 0; pool
-  // workers bind per-epoch in AdvanceLanes with lane = shard + 1. The
-  // profiler only reads the wall clock and its own rings, so attaching it
-  // cannot perturb replay results.
-  telemetry::profile::ScopedThreadProfiler profile_bind(config_.profiler);
-
-  ExperimentMetrics metrics;
-  metrics.workload = workload_->info().name;
-  metrics.policy = policy_->name();
-  metrics.duration = horizon_;
-
-  workload_->Reset();
   window_.clear();
   gen_batch_.clear();
   gen_batch_.reserve(kGenBatch);
   last_generated_time_ = 0;
   stream_done_ = false;
-  period_index_ = 0;
   plan_epoch_ = 0;
-  in_period_end_ = false;
-  trigger_pending_ = false;
-  app_monitor_.SetSink(nullptr);
-  app_monitor_.ResetPeriod(0);
-  storage_monitor_->ResetPeriod(0);
+  return Status::OK();
+}
 
-  policy_->Start(*master_, this);
-  app_monitor_.SetCapture(policy_->wants_logical_trace());
-  SchedulePeriodEnd(policy_->initial_period());
-  // Start() may have seeded preloads or spin-down flags; deliver the
-  // resulting observer callbacks now, as the serial engine would inline.
-  MergeBarrier();
-
+Status ShardedExperiment::Replay() {
   if (config_.power_sample_interval > 0) {
     for (auto& lane : lanes_) {
       lane->meter = std::make_unique<storage::PowerMeter>(
@@ -334,26 +246,8 @@ Result<ExperimentMetrics> ShardedExperiment::RunSharded() {
     }
   }
 
-  // Streaming pump, same contract as the serial engine but evaluated at
-  // epoch granularity: after `MergeBarrier(); sim_.RunUntil(t_stop)` every
-  // lane clock and the coordinator clock are pinned at t_stop and all lane
-  // rings have been re-recorded into the shared recorder, so no event
-  // below t_stop can appear later — t_stop is a valid exclusive frontier.
-  // Events at exactly t_stop (e.g. lane work the barrier just scheduled)
-  // stay pending in the dispatcher until a later frontier passes them.
-  telemetry::StreamDispatcher* stream =
-      config_.stream != nullptr && config_.stream->has_consumers()
-          ? config_.stream
-          : nullptr;
-  const SimDuration stream_window =
-      config_.stream_window_us > 0 ? config_.stream_window_us : kMinute;
-  SimTime next_stream_mark = stream != nullptr
-                                 ? stream_window
-                                 : std::numeric_limits<SimTime>::max();
-
-  // --- Epoch loop: generate → scatter → parallel lane advance → barrier
-  // merge → coordinator events, with t_stop chosen so no lane ever runs
-  // past the next cross-shard effect. ---
+  // Pool workers bind the profiler per epoch in AdvanceLanes with lane =
+  // shard + 1; the coordinator is lane 0.
   uint32_t epoch_index = 0;
   while (true) {
     // The epoch index is the sharded engine's correlation key: every span
@@ -382,34 +276,34 @@ Result<ExperimentMetrics> ShardedExperiment::RunSharded() {
     MergeBarrier();
     sim_.RunUntil(t_stop);
 
-    if (t_stop >= next_stream_mark) {
-      stream->Pump(config_.telemetry, t_stop);
-      next_stream_mark = (t_stop / stream_window + 1) * stream_window;
-    }
+    // Streaming pump at epoch granularity: every lane clock and the
+    // coordinator clock are pinned at t_stop and all lane rings have been
+    // re-recorded into the shared recorder, so no event below t_stop can
+    // appear later — t_stop is a valid exclusive frontier. Events at
+    // exactly t_stop stay pending until a later frontier passes them.
+    if (StreamDue(t_stop)) PumpStream(t_stop);
 
     if (t_stop >= horizon_) break;
     epoch_index++;
   }
+  return Status::OK();
+}
 
-  // --- Horizon: all clocks are pinned to the horizon. Destage and report
-  // final idle gaps per lane (serial FinalizeRun order within each lane,
-  // lanes in shard order), deliver the resulting callbacks, then emit the
-  // controller's energy final exactly once. ---
-  {
-    telemetry::profile::ScopedPhase finalize_span(
-        telemetry::profile::Phase::kFinalize);
-    for (auto& lane : lanes_) {
-      telemetry::ScopedShardTag tag(
-          static_cast<uint16_t>(lane->shard_id + 1));
-      telemetry::ScopedLoggerBridge bridge(lane->recorder.get(), &SimClock,
-                                           &lane->sim);
-      lane->system->FinalizeRun();
-    }
-    MergeBarrier();
+void ShardedExperiment::Finalize(ExperimentMetrics* m) {
+  // All clocks are pinned to the horizon. Destage and report final idle
+  // gaps per lane (serial FinalizeRun order within each lane, lanes in
+  // shard order), deliver the resulting callbacks, then emit the
+  // controller's energy final exactly once.
+  for (auto& lane : lanes_) {
+    telemetry::ScopedShardTag tag(static_cast<uint16_t>(lane->shard_id + 1));
+    telemetry::ScopedLoggerBridge bridge(lane->recorder.get(), &SimClock,
+                                         &lane->sim);
+    lane->system->FinalizeRun();
   }
+  MergeBarrier();
   if (telemetry::Wants(config_.telemetry, telemetry::kClassPower)) {
     config_.telemetry->Record(telemetry::MakeEnergyFinalEvent(
-        sim_.Now(), kInvalidEnclosure, master_->ControllerEnergy(),
+        sim_.Now(), kInvalidEnclosure, system_->ControllerEnergy(),
         plan_epoch_));
   }
   for (auto& lane : lanes_) {
@@ -419,7 +313,7 @@ Result<ExperimentMetrics> ShardedExperiment::RunSharded() {
   // Publish the pool's contention gauges — the single source of truth the
   // profile export and eco_report read (busy time is wall-clock, so the
   // values vary run to run; they never feed back into replay results).
-  if (config_.telemetry != nullptr && pool_ != nullptr) {
+  if (config_.telemetry != nullptr) {
     ThreadPool::Stats ps = pool_->GetStats();
     config_.telemetry->gauge("pool.workers")->Set(ps.workers);
     config_.telemetry->gauge("pool.tasks_executed")->Set(ps.tasks_executed);
@@ -427,25 +321,59 @@ Result<ExperimentMetrics> ShardedExperiment::RunSharded() {
     config_.telemetry->gauge("pool.busy_us")->Set(ps.busy_ns / 1000);
   }
 
-  ReduceMetrics(&metrics);
-  metrics.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  // Final streaming pump: the horizon-time events (per-enclosure finals
-  // from FinalizeRun, the controller final above) plus the reduced
-  // measured energies. Mirrors the serial engine's epilogue.
-  if (stream != nullptr) {
-    stream->Pump(config_.telemetry, horizon_);
-    telemetry::StreamFinal fin;
-    fin.at = horizon_;
-    fin.enclosure_energy_j = metrics.enclosure_energy;
-    fin.controller_energy_j = metrics.controller_energy;
-    fin.has_energy = true;
-    stream->Finish(fin);
+  // Lane partials reduce in lane order (fixed for a given S, whatever the
+  // worker count).
+  for (auto& lane : lanes_) {
+    const ExperimentMetrics& p = lane->partial;
+    m->logical_ios += p.logical_ios;
+    m->logical_reads += p.logical_reads;
+    m->physical_batches += p.physical_batches;
+    m->cache_hit_ios += p.cache_hit_ios;
+    m->response_us.Merge(p.response_us);
+    m->read_response_us.Merge(p.read_response_us);
+    for (const auto& [tag, stats] : p.tag_stats) {
+      auto [it, inserted] = m->tag_stats.try_emplace(tag);
+      ExperimentMetrics::TagStats& merged = it->second;
+      if (inserted || stats.first_issue < merged.first_issue) {
+        merged.first_issue = stats.first_issue;
+      }
+      merged.read_response_us_sum += stats.read_response_us_sum;
+      merged.reads += stats.reads;
+      if (stats.last_completion > merged.last_completion) {
+        merged.last_completion = stats.last_completion;
+      }
+    }
+    m->idle_gaps.insert(m->idle_gaps.end(), p.idle_gaps.begin(),
+                        p.idle_gaps.end());
+    if (lane->book != nullptr) config_.latency_book->Merge(*lane->book);
+    sim::Simulator::Stats s = lane->sim.stats();
+    m->sim_events_executed += s.executed;
+    m->sim_events_cancelled += s.cancelled;
+    m->sim_peak_heap_depth = std::max(m->sim_peak_heap_depth,
+                                      static_cast<int64_t>(s.peak_heap_depth));
   }
-  return metrics;
+
+  if (lanes_[0]->meter != nullptr) {
+    // Sample-index-wise merge: every lane ticks at the same instants, so
+    // sample i is the same interval everywhere. Enclosure watts add across
+    // lanes (each lane meters only its owned enclosures); the controller
+    // column is the constant draw, identical in every lane — keep lane
+    // 0's.
+    m->power_samples = lanes_[0]->meter->samples();
+    for (size_t l = 1; l < lanes_.size(); ++l) {
+      const std::vector<storage::PowerSample>& more =
+          lanes_[l]->meter->samples();
+      size_t n = std::min(m->power_samples.size(), more.size());
+      for (size_t i = 0; i < n; ++i) {
+        m->power_samples[i].enclosures += more[i].enclosures;
+      }
+    }
+  }
+}
+
+storage::DiskEnclosure& ShardedExperiment::ServingEnclosure(EnclosureId id) {
+  return lanes_[static_cast<size_t>(shard_map_.ShardOf(id))]
+      ->system->enclosure(id);
 }
 
 void ShardedExperiment::EnsureGenerated(SimTime beyond) {
@@ -605,151 +533,17 @@ size_t ShardedExperiment::ReplayLaneHooks() {
   return total;
 }
 
-void ShardedExperiment::SchedulePeriodEnd(SimDuration period) {
-  period = std::max<SimDuration>(period, 1 * kSecond);
-  period_event_ = sim_.ScheduleAfter(period, [this] { DoPeriodEnd(); });
-}
-
 void ShardedExperiment::DoPeriodEnd() {
+  // Runs under the epoch's correlation; the span's detail carries the
+  // period index instead.
   telemetry::profile::ScopedPhase period_span(
       telemetry::profile::Phase::kPeriodEnd,
-      static_cast<int64_t>(period_index_));
-  in_period_end_ = true;
-  trigger_pending_ = false;
-  // Coordinator events earlier in this same barrier (migration chunks at
-  // this timestamp) may have produced lane hooks; fold them into the
-  // monitor before the snapshot, as the serial observers already had.
-  MergeBarrier();
-  monitor::MonitorSnapshot snapshot;
-  snapshot.period_start = app_monitor_.period_start();
-  snapshot.period_end = sim_.Now();
-  snapshot.application = &app_monitor_;
-  snapshot.storage = storage_monitor_.get();
-  SimDuration next = policy_->OnPeriodEnd(snapshot, *master_, this);
-  // Plan application just acted on the lanes (write-delay flushes, preload
-  // reads). Serial delivers those callbacks inside the period end, before
-  // the monitors reset; match that.
-  MergeBarrier();
-  if (telemetry::Wants(config_.telemetry, telemetry::kClassPeriod)) {
-    config_.telemetry->Record(telemetry::MakePeriodEvent(
-        sim_.Now(), period_index_, snapshot.period_start, next));
-  }
-  if (telemetry::Wants(config_.telemetry, telemetry::kClassSim)) {
-    // Coordinator heap only; the lanes' heaps are reduced into the final
-    // metrics instead (a mid-run cross-thread probe would race).
-    sim::Simulator::Stats s = sim_.stats();
-    config_.telemetry->Record(telemetry::MakeSimStatsEvent(
-        sim_.Now(), static_cast<int64_t>(s.peak_heap_depth),
-        static_cast<int64_t>(s.live_events),
-        static_cast<int64_t>(s.tombstones), s.cancelled));
-  }
-  period_index_++;
-  app_monitor_.ResetPeriod(sim_.Now());
-  storage_monitor_->ResetPeriod(sim_.Now());
-  in_period_end_ = false;
-  SchedulePeriodEnd(next);
+      static_cast<int64_t>(period_index()));
+  EndPeriod();
 }
 
 int ShardedExperiment::LaneOfItem(DataItemId item) const {
-  return shard_map_.ShardOf(master_->virtualization().EnclosureOf(item));
-}
-
-void ShardedExperiment::ReduceMetrics(ExperimentMetrics* out) {
-  for (auto& lane : lanes_) {
-    const ExperimentMetrics& p = lane->partial;
-    out->logical_ios += p.logical_ios;
-    out->logical_reads += p.logical_reads;
-    out->physical_batches += p.physical_batches;
-    out->cache_hit_ios += p.cache_hit_ios;
-    out->response_us.Merge(p.response_us);
-    out->read_response_us.Merge(p.read_response_us);
-    for (const auto& [tag, stats] : p.tag_stats) {
-      auto [it, inserted] = out->tag_stats.try_emplace(tag);
-      ExperimentMetrics::TagStats& merged = it->second;
-      if (inserted || stats.first_issue < merged.first_issue) {
-        merged.first_issue = stats.first_issue;
-      }
-      merged.read_response_us_sum += stats.read_response_us_sum;
-      merged.reads += stats.reads;
-      if (stats.last_completion > merged.last_completion) {
-        merged.last_completion = stats.last_completion;
-      }
-    }
-    out->idle_gaps.insert(out->idle_gaps.end(), p.idle_gaps.begin(),
-                          p.idle_gaps.end());
-  }
-
-  // Per-enclosure stats come from each enclosure's owner lane, visited in
-  // enclosure order — the same summation order as the serial engine's
-  // EnclosureEnergy(), so enclosure_energy matches it bitwise.
-  for (int e = 0; e < config_.storage.num_enclosures; ++e) {
-    Lane& owner =
-        *lanes_[static_cast<size_t>(shard_map_.ShardOf(e))];
-    storage::DiskEnclosure& enc =
-        owner.system->enclosure(static_cast<EnclosureId>(e));
-    out->spinups += enc.spinup_count();
-    ExperimentMetrics::EnclosureStats stats;
-    stats.energy = enc.Energy(sim_.Now());
-    stats.served_ios = enc.served_ios();
-    stats.spinups = enc.spinup_count();
-    stats.utilization =
-        horizon_ > 0 ? static_cast<double>(enc.active_time()) /
-                           static_cast<double>(horizon_)
-                     : 0.0;
-    out->per_enclosure.push_back(stats);
-    out->enclosure_energy += stats.energy;
-  }
-
-  out->controller_energy = master_->ControllerEnergy();
-  out->avg_enclosure_power = AveragePower(out->enclosure_energy, horizon_);
-  out->avg_controller_power =
-      AveragePower(out->controller_energy, horizon_);
-  out->avg_total_power =
-      out->avg_enclosure_power + out->avg_controller_power;
-  out->avg_response_ms = out->response_us.Mean() / 1000.0;
-  out->avg_read_response_ms = out->read_response_us.Mean() / 1000.0;
-  out->migrated_bytes = migrations_->migrated_bytes();
-  out->item_migrations = migrations_->completed_item_moves();
-  out->block_migrations = migrations_->block_moves();
-  out->placement_determinations = policy_->placement_determinations();
-
-  if (config_.latency_book != nullptr) {
-    for (auto& lane : lanes_) {
-      if (lane->book != nullptr) config_.latency_book->Merge(*lane->book);
-    }
-  }
-
-  if (!lanes_.empty() && lanes_[0]->meter != nullptr) {
-    // Sample-index-wise merge: every lane ticks at the same instants, so
-    // sample i is the same interval everywhere. Enclosure watts add across
-    // lanes (each lane meters only its owned enclosures); the controller
-    // column is the constant draw, identical in every lane — keep lane
-    // 0's.
-    out->power_samples = lanes_[0]->meter->samples();
-    for (size_t l = 1; l < lanes_.size(); ++l) {
-      const std::vector<storage::PowerSample>& more =
-          lanes_[l]->meter->samples();
-      size_t n = std::min(out->power_samples.size(), more.size());
-      for (size_t i = 0; i < n; ++i) {
-        out->power_samples[i].enclosures += more[i].enclosures;
-      }
-    }
-  }
-
-  out->monitoring_periods = period_index_;
-  sim::Simulator::Stats coordinator = sim_.stats();
-  int64_t executed = coordinator.executed;
-  int64_t cancelled = coordinator.cancelled;
-  size_t peak = coordinator.peak_heap_depth;
-  for (auto& lane : lanes_) {
-    sim::Simulator::Stats s = lane->sim.stats();
-    executed += s.executed;
-    cancelled += s.cancelled;
-    peak = std::max(peak, s.peak_heap_depth);
-  }
-  out->sim_events_executed = executed;
-  out->sim_events_cancelled = cancelled;
-  out->sim_peak_heap_depth = static_cast<int64_t>(peak);
+  return shard_map_.ShardOf(system_->virtualization().EnclosureOf(item));
 }
 
 // --- policies::PolicyActuator ---
@@ -768,7 +562,7 @@ void ShardedExperiment::RequestBlockMigration(EnclosureId from,
 void ShardedExperiment::SetWriteDelayItems(
     const std::unordered_set<DataItemId>& items) {
   std::vector<std::unordered_set<DataItemId>> split =
-      core::SplitWriteDelayItems(items, master_->virtualization(),
+      core::SplitWriteDelayItems(items, system_->virtualization(),
                                  shard_map_);
   for (size_t s = 0; s < lanes_.size(); ++s) {
     Status st = lanes_[s]->system->SetWriteDelayItems(split[s]);
@@ -793,7 +587,7 @@ void ShardedExperiment::SetPreloadItems(
     return;
   }
   std::vector<std::vector<std::pair<DataItemId, int64_t>>> split =
-      core::SplitPreloadItems(items, master_->virtualization(), shard_map_);
+      core::SplitPreloadItems(items, system_->virtualization(), shard_map_);
   for (size_t s = 0; s < lanes_.size(); ++s) {
     Status st = lanes_[s]->system->SetPreloadItems(split[s]);
     if (!st.ok()) {
@@ -810,17 +604,10 @@ void ShardedExperiment::SetSpinDownAllowed(EnclosureId enclosure,
       ->system->SetSpinDownAllowed(enclosure, allowed);
 }
 
-void ShardedExperiment::TriggerImmediatePeriodEnd() {
-  if (in_period_end_ || trigger_pending_) return;
-  trigger_pending_ = true;
-  sim_.Cancel(period_event_);
-  period_event_ = sim_.ScheduleAfter(0, [this] { DoPeriodEnd(); });
-}
-
 void ShardedExperiment::PublishPlan(
     int32_t plan_id, const std::vector<uint8_t>& item_patterns) {
   plan_epoch_ = plan_id;
-  master_->BeginPlanEpoch(plan_id, item_patterns);
+  system_->BeginPlanEpoch(plan_id, item_patterns);
   for (auto& lane : lanes_) {
     lane->system->BeginPlanEpoch(plan_id, item_patterns);
   }

@@ -8,15 +8,8 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/shard_plan.h"
-#include "monitor/application_monitor.h"
-#include "monitor/storage_monitor.h"
-#include "policies/storage_policy.h"
 #include "replay/experiment.h"
-#include "replay/metrics.h"
 #include "replay/migration_engine.h"
-#include "sim/simulator.h"
-#include "storage/storage_system.h"
-#include "workload/workload.h"
 
 namespace ecostore::replay {
 
@@ -53,7 +46,7 @@ namespace ecostore::replay {
 ///    where capacity pressure (LRU eviction, threshold destage) would
 ///    couple shards are outside the exact-equivalence domain — see
 ///    DESIGN.md §11 for the full list of documented divergences.
-class ShardedExperiment : public policies::PolicyActuator {
+class ShardedExperiment : public ReplayEngine {
  public:
   /// \param shards number of lanes; clamped to [1, num_enclosures].
   /// \param worker_threads pool size; <= 0 picks min(shards, hardware
@@ -64,9 +57,6 @@ class ShardedExperiment : public policies::PolicyActuator {
                     int worker_threads = 0);
   ~ShardedExperiment() override;
 
-  ShardedExperiment(const ShardedExperiment&) = delete;
-  ShardedExperiment& operator=(const ShardedExperiment&) = delete;
-
   /// Executes the run to completion and returns the reduced measurements.
   Result<ExperimentMetrics> Run();
 
@@ -74,7 +64,6 @@ class ShardedExperiment : public policies::PolicyActuator {
 
   // --- policies::PolicyActuator (all calls arrive in barrier context on
   // the coordinator thread; lanes are quiescent at exactly Now()) ---
-  SimTime Now() const override { return sim_.Now(); }
   void RequestMigration(DataItemId item, EnclosureId target) override;
   void RequestBlockMigration(EnclosureId from, EnclosureId to,
                              int64_t bytes) override;
@@ -83,32 +72,34 @@ class ShardedExperiment : public policies::PolicyActuator {
   void SetPreloadItems(
       const std::vector<std::pair<DataItemId, int64_t>>& items) override;
   void SetSpinDownAllowed(EnclosureId enclosure, bool allowed) override;
-  void TriggerImmediatePeriodEnd() override;
   void PublishPlan(int32_t plan_id,
                    const std::vector<uint8_t>& item_patterns) override;
-  bool AttachLogicalIoSink(monitor::LogicalIoSink* sink) override {
-    // The scatter phase feeds the monitor in global time order on the
-    // coordinator thread, so streaming ingest observes the exact record
-    // sequence the serial engine would.
-    app_monitor_.SetSink(sink);
-    return true;
-  }
-  telemetry::Recorder* telemetry() const override {
-    return config_.telemetry;
-  }
 
  private:
   struct Lane;
   class ShardRouter;
 
-  Result<ExperimentMetrics> RunSharded();
+  // --- ReplayEngine ---
+  Status Build() override;
+  /// The epoch loop: generate, scatter, parallel lane advance, barrier
+  /// merge, coordinator events.
+  Status Replay() override;
+  void Finalize(ExperimentMetrics* m) override;
+  storage::DiskEnclosure& ServingEnclosure(EnclosureId id) override;
+  const MigrationCounters& migration_counters() const override {
+    return *migrations_;
+  }
+  void DoPeriodEnd() override;
+  void DeliverLaneCallbacks() override { MergeBarrier(); }
 
   /// Pulls workload batches until the window reaches past `beyond` (or the
   /// stream ends / hits the horizon) plus a count-based prefetch.
   void EnsureGenerated(SimTime beyond);
   /// Routes every buffered record with time < t_stop to its owner lane
   /// (by the *current* master mapping) and logs it in the application
-  /// monitor, preserving global trace order.
+  /// monitor on the coordinator thread, preserving global trace order:
+  /// a streaming sink observes the exact record sequence the serial
+  /// engine feeds it.
   void ScatterUpTo(SimTime t_stop);
   /// Runs every lane to exactly t_stop (events at t_stop included, clock
   /// pinned), on the pool when the lane has work, inline otherwise.
@@ -121,37 +112,20 @@ class ShardedExperiment : public policies::PolicyActuator {
   /// Replays (and clears) all pending lane hooks once; returns how many.
   size_t ReplayLaneHooks();
 
-  void SchedulePeriodEnd(SimDuration period);
-  void DoPeriodEnd();
-  void ReduceMetrics(ExperimentMetrics* out);
-
   int LaneOfItem(DataItemId item) const;
 
-  workload::Workload* workload_;
-  policies::StoragePolicy* policy_;
-  ExperimentConfig config_;
   core::ShardMap shard_map_;
   int worker_threads_ = 1;
 
-  /// Coordinator clock: period ends, migration pacing, trigger events.
-  sim::Simulator sim_;
-  /// Authoritative placement replica. Policies read it (layout, config,
-  /// catalog); it never serves I/O, never spins down, owns no telemetry.
-  std::unique_ptr<storage::StorageSystem> master_;
+  // system_ (ReplayEngine) is the authoritative placement replica.
+  // Policies read it (layout, config, catalog); it never serves I/O, never
+  // spins down, owns no telemetry.
   std::unique_ptr<ShardRouter> router_;
   std::unique_ptr<MigrationEngineT<ShardRouter>> migrations_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unique_ptr<ThreadPool> pool_;
 
-  monitor::ApplicationMonitor app_monitor_;
-  std::unique_ptr<monitor::StorageMonitor> storage_monitor_;
-
-  SimDuration horizon_ = 0;
-  sim::EventId period_event_ = 0;
-  int32_t period_index_ = 0;
   int32_t plan_epoch_ = 0;
-  bool in_period_end_ = false;
-  bool trigger_pending_ = false;
 
   // --- Generation window (global FIFO; scattered per epoch) ---
   std::deque<trace::LogicalIoRecord> window_;

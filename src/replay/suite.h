@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -27,6 +28,17 @@ using PolicyFactory =
 /// from the same config satisfies this).
 using WorkloadFactory =
     std::function<Result<std::unique_ptr<workload::Workload>>()>;
+
+/// A WorkloadFactory building a fresh `W` (a generator with a static
+/// `W::Create(config)`) from a copy of `config` on every call.
+template <typename W, typename Config>
+WorkloadFactory FactoryFor(const Config& config) {
+  return [config]() -> Result<std::unique_ptr<workload::Workload>> {
+    auto created = W::Create(config);
+    if (!created.ok()) return created.status();
+    return std::unique_ptr<workload::Workload>(std::move(created).value());
+  };
+}
 
 /// Execution options of the parallel suite/experiment runners.
 struct SuiteOptions {

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/legacy_classifier.h"
 #include "common/random.h"
 #include "core/pattern_classifier.h"
+#include "workload/cloud_block_workload.h"
 
 namespace ecostore::core {
 namespace {
@@ -331,6 +334,72 @@ TEST(ClassifierEdgeTest, StateReleasedWhenP3CandidacyLost) {
     classifier.OnLogicalIo(r2);
   }
   EXPECT_LE(classifier.state_bytes(), classifier.peak_state_bytes());
+}
+
+// ---------------------------------------------------------------------
+// Fleet shape: the benchmark's `fleet` catalog (CloudBlock, 250
+// enclosures x 10 volumes x 10 items = 25 000 items) over an hour of its
+// write-dominant, bursty trace, in 520 s periods with one §V-D early end,
+// fed record by record as the monitor sink does. The randomized cases
+// above stop at 257 items. Registered as its own ctest entry (label
+// `fleet`).
+// ---------------------------------------------------------------------
+
+TEST(ClassifierFleetTest, StreamingMatchesLegacyOnFleetShape) {
+  workload::CloudBlockConfig wl_config;
+  wl_config.duration = 1 * kHour;
+  wl_config.num_enclosures = 250;
+  wl_config.volumes_per_enclosure = 10;
+  wl_config.items_per_volume = 10;
+  auto created = workload::CloudBlockWorkload::Create(wl_config);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<workload::CloudBlockWorkload> workload =
+      std::move(created).value();
+  const storage::DataItemCatalog& catalog = workload->catalog();
+  ASSERT_EQ(catalog.item_count(), 25000u);
+
+  const std::vector<SimTime> ends = {520 * kSecond, 1040 * kSecond,
+                                     1177 * kSecond, 1697 * kSecond,
+                                     2217 * kSecond, 2737 * kSecond};
+  bench::LegacyPatternClassifier legacy(kOptions);
+  PatternClassifier streaming(kOptions);
+  trace::LogicalIoRecord next;
+  bool have_next = workload->Next(&next);
+  SimTime start = 0;
+  std::vector<uint8_t> prev_table;
+  for (size_t period = 0; period < ends.size(); ++period) {
+    const SimTime end = ends[period];
+    const std::string label = "fleet period " + std::to_string(period);
+    trace::LogicalTraceBuffer buffer;
+    streaming.BeginPeriod(start);
+    while (have_next && next.time < end) {
+      buffer.Append(next);
+      streaming.OnLogicalIo(next);
+      have_next = workload->Next(&next);
+    }
+    ASSERT_GT(buffer.size(), 0u) << label;
+    ClassificationResult expected =
+        legacy.Classify(buffer, catalog, start, end);
+    ClassificationResult actual;
+    streaming.Finalize(catalog, end, &actual);
+    ExpectResultsIdentical(expected, actual, label);
+
+    std::vector<uint8_t> table(actual.items.size());
+    for (size_t i = 0; i < actual.items.size(); ++i) {
+      table[i] = static_cast<uint8_t>(actual.items[i].pattern);
+    }
+    if (period > 0) {
+      std::vector<DataItemId> expected_dirty;
+      for (size_t i = 0; i < table.size(); ++i) {
+        if (table[i] != prev_table[i]) {
+          expected_dirty.push_back(static_cast<DataItemId>(i));
+        }
+      }
+      EXPECT_EQ(streaming.dirty_items(), expected_dirty) << label;
+    }
+    prev_table = std::move(table);
+    start = end;
+  }
 }
 
 }  // namespace

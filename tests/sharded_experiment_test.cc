@@ -292,5 +292,105 @@ TEST(ShardedExperimentTest, FixedShardCountIsWorkerCountInvariant) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The §V-D period-end protocol, exercised on both engines: the 1 s floor,
+// trigger coalescing, and triggers from inside a period end.
+// ---------------------------------------------------------------------------
+
+/// A policy that scripts the protocol's edge cases. At the first physical
+/// I/O at or after kBurstAfter it triggers an immediate period end
+/// `burst` times at one instant; that triggered period end triggers once
+/// more from inside OnPeriodEnd and keeps the regular period; the period
+/// end after it asks for 100 ms, below the 1 s floor.
+class TriggerScriptPolicy : public policies::StoragePolicy {
+ public:
+  static constexpr SimDuration kPeriod = 60 * kSecond;
+  static constexpr SimDuration kBurstAfter = 90 * kSecond;
+
+  explicit TriggerScriptPolicy(int burst) : burst_(burst) {}
+
+  std::string name() const override { return "trigger_script"; }
+  SimDuration initial_period() const override { return kPeriod; }
+
+  void Start(const storage::StorageSystem& system,
+             policies::PolicyActuator* actuator) override {
+    (void)system;
+    actuator_ = actuator;
+  }
+
+  void OnPhysicalIo(const trace::PhysicalIoRecord& rec) override {
+    if (burst_at_ >= 0 || rec.time < kBurstAfter) return;
+    burst_at_ = actuator_->Now();
+    for (int i = 0; i < burst_; ++i) actuator_->TriggerImmediatePeriodEnd();
+  }
+
+  SimDuration OnPeriodEnd(const monitor::MonitorSnapshot& snapshot,
+                          const storage::StorageSystem& system,
+                          policies::PolicyActuator* actuator) override {
+    (void)system;
+    ends_.push_back(snapshot.period_end);
+    if (!inner_fired_ && burst_at_ >= 0 && snapshot.period_end == burst_at_) {
+      inner_fired_ = true;  // once, so a broken guard fails, not loops
+      actuator->TriggerImmediatePeriodEnd();
+      return kPeriod;
+    }
+    if (burst_at_ >= 0 && snapshot.period_end == burst_at_ + kPeriod) {
+      return 100 * kMillisecond;
+    }
+    return kPeriod;
+  }
+
+  SimTime burst_at() const { return burst_at_; }
+  const std::vector<SimTime>& ends() const { return ends_; }
+
+ private:
+  int burst_;
+  policies::PolicyActuator* actuator_ = nullptr;
+  SimTime burst_at_ = -1;
+  bool inner_fired_ = false;
+  std::vector<SimTime> ends_;
+};
+
+void ExpectPeriodEndProtocol(const TriggerScriptPolicy& policy,
+                             const ExperimentMetrics& m) {
+  constexpr SimDuration kPeriod = TriggerScriptPolicy::kPeriod;
+  const SimTime burst = policy.burst_at();
+  ASSERT_GE(burst, TriggerScriptPolicy::kBurstAfter);
+  // The sharded engine delivers the I/O hook at the next epoch barrier,
+  // here the pending 120 s end itself, which the burst then replaces.
+  ASSERT_LE(burst, 2 * kPeriod);
+  const std::vector<SimTime>& ends = policy.ends();
+  EXPECT_EQ(m.monitoring_periods, static_cast<int64_t>(ends.size()));
+  ASSERT_GE(ends.size(), 4u);
+  // One end at the burst instant, none added by the trigger inside it,
+  // and the 100 ms request floored to 1 s.
+  EXPECT_EQ(ends[0], kPeriod);
+  EXPECT_EQ(ends[1], burst);
+  EXPECT_EQ(ends[2], burst + kPeriod);
+  EXPECT_EQ(ends[3], burst + kPeriod + 1 * kSecond);
+  EXPECT_EQ(std::count(ends.begin(), ends.end(), burst), 1);
+  for (size_t i = 4; i < ends.size(); ++i) {
+    EXPECT_EQ(ends[i] - ends[i - 1], kPeriod) << "period end " << i;
+  }
+}
+
+TEST(PeriodEndProtocolTest, CoalescesTriggersAndFloorsPeriod) {
+  workload::FileServerConfig fs = FsConfig(6, 6 * kMinute, 20, 16);
+  // One shard is the serial engine (ShardedExperiment delegates to it).
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TriggerScriptPolicy burst(3);
+    ExperimentMetrics m = RunSharded(fs, &burst, ExperimentConfig{}, shards);
+    ExpectPeriodEndProtocol(burst, m);
+    // The later triggers of a burst are no-ops: a single trigger gives
+    // the same period ends and cancels as many events.
+    TriggerScriptPolicy single(1);
+    ExperimentMetrics one =
+        RunSharded(fs, &single, ExperimentConfig{}, shards);
+    EXPECT_EQ(single.ends(), burst.ends());
+    EXPECT_EQ(one.sim_events_cancelled, m.sim_events_cancelled);
+  }
+}
+
 }  // namespace
 }  // namespace ecostore::replay

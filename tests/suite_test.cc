@@ -125,12 +125,7 @@ workload::FileServerConfig ShortFileServerConfig() {
 }
 
 WorkloadFactory ShortFileServerFactory() {
-  return []() -> Result<std::unique_ptr<workload::Workload>> {
-    auto workload =
-        workload::FileServerWorkload::Create(ShortFileServerConfig());
-    if (!workload.ok()) return workload.status();
-    return std::unique_ptr<workload::Workload>(std::move(workload).value());
-  };
+  return FactoryFor<workload::FileServerWorkload>(ShortFileServerConfig());
 }
 
 TEST(SuiteTest, ParallelRunSuiteMatchesSerialOnFileServer) {
