@@ -3,6 +3,7 @@
 
 // Shared helpers for the figure-reproduction benchmarks.
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -13,43 +14,9 @@
 
 namespace ecostore::bench {
 
-/// Parses a `--threads=N` argument (default 1 == today's serial
-/// behaviour). `--threads=0` means "all hardware threads". Unknown
-/// arguments are left alone for the caller.
-inline int ParseThreadsFlag(int argc, char** argv) {
-  int threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    const std::string prefix = "--threads=";
-    if (arg.rfind(prefix, 0) == 0) {
-      threads = std::atoi(arg.c_str() + prefix.size());
-    }
-  }
-  if (threads <= 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 0 ? static_cast<int>(hw) : 1;
-  }
-  return threads;
-}
-
-/// Parses a `--shards=S` argument: the intra-run shard count for the
-/// sharded replay engine (replay::ShardedExperiment). Default 1 ==
-/// today's serial engine; distinct from `--threads`, which runs whole
-/// experiments concurrently.
-inline int ParseShardsFlag(int argc, char** argv) {
-  int shards = 1;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    const std::string prefix = "--shards=";
-    if (arg.rfind(prefix, 0) == 0) {
-      shards = std::atoi(arg.c_str() + prefix.size());
-    }
-  }
-  return shards < 1 ? 1 : shards;
-}
-
 /// Returns the value of a `--flag=value` argument; empty when absent.
-/// `prefix` includes the '=' (e.g. "--telemetry=").
+/// `prefix` includes the '=' (e.g. "--telemetry="). When the flag is
+/// repeated the first occurrence wins, for every flag parsed here.
 inline std::string ParseFlagValue(int argc, char** argv,
                                   const std::string& prefix) {
   for (int i = 1; i < argc; ++i) {
@@ -57,6 +24,26 @@ inline std::string ParseFlagValue(int argc, char** argv,
     if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
   }
   return "";
+}
+
+/// Parses a `--threads=N` argument (default 1 == today's serial
+/// behaviour). `--threads=0` means "all hardware threads". Unknown
+/// arguments are left alone for the caller.
+inline int ParseThreadsFlag(int argc, char** argv) {
+  const std::string v = ParseFlagValue(argc, argv, "--threads=");
+  const int threads = v.empty() ? 1 : std::atoi(v.c_str());
+  if (threads > 0) return threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+/// Parses a `--shards=S` argument: the intra-run shard count for the
+/// sharded replay engine (replay::ShardedExperiment). Default 1 ==
+/// today's serial engine; distinct from `--threads`, which runs whole
+/// experiments concurrently. Values below 1 are floored to 1.
+inline int ParseShardsFlag(int argc, char** argv) {
+  const std::string v = ParseFlagValue(argc, argv, "--shards=");
+  return v.empty() ? 1 : std::max(1, std::atoi(v.c_str()));
 }
 
 /// True when `--flag` (exact) is present.

@@ -3,9 +3,43 @@
 #include <algorithm>
 #include <map>
 
+#include "telemetry/analysis/summary.h"
 #include "telemetry/flat_json.h"
 
 namespace ecostore::telemetry::analysis {
+
+namespace {
+
+// The exact-account scalars a window reports as the change in the
+// ledger's cumulative value since the previous close.
+template <typename T>
+struct Delta {
+  T RollingWindow::*window;
+  T EnergyLedger::*ledger;
+};
+
+constexpr Delta<double> kEnergyDeltas[] = {
+    {&RollingWindow::credit_j, &EnergyLedger::off_credit_j},
+    {&RollingWindow::debit_j, &EnergyLedger::off_debit_j},
+    {&RollingWindow::actual_j, &EnergyLedger::off_actual_j},
+    {&RollingWindow::mispredict_loss_j, &EnergyLedger::mispredict_loss_j},
+};
+
+constexpr Delta<int64_t> kCountDeltas[] = {
+    {&RollingWindow::dwell_us, &EnergyLedger::off_dwell_us},
+    {&RollingWindow::mispredicts, &EnergyLedger::mispredicts},
+    {&RollingWindow::decisions, &EnergyLedger::decisions},
+    {&RollingWindow::migrations, &EnergyLedger::migrations},
+    {&RollingWindow::preloads, &EnergyLedger::preloads},
+    {&RollingWindow::write_delays, &EnergyLedger::write_delays},
+    {&RollingWindow::write_delay_admits, &EnergyLedger::write_delay_admits},
+    {&RollingWindow::write_delay_flushes,
+     &EnergyLedger::write_delay_flushes},
+    {&RollingWindow::write_delay_flush_bytes,
+     &EnergyLedger::write_delay_flush_bytes},
+};
+
+}  // namespace
 
 RollingSummary::RollingSummary(const ExportMeta& meta, const Options& options)
     : options_(options), ledger_(meta) {
@@ -53,23 +87,16 @@ void RollingSummary::CloseWindow(SimTime end, bool terminal) {
   w.start = win_start_;
   w.end = end;
   w.terminal = terminal;
-  w.credit_j = cur.off_credit_j - prev_.credit_j;
-  w.debit_j = cur.off_debit_j - prev_.debit_j;
-  w.actual_j = cur.off_actual_j - prev_.actual_j;
-  w.dwell_us = cur.off_dwell_us - prev_.dwell_us;
-  w.off_windows =
-      static_cast<int64_t>(cur.off_windows.size()) -
-      static_cast<int64_t>(prev_off_count_);
-  w.mispredicts = cur.mispredicts - prev_.mispredicts;
-  w.mispredict_loss_j = cur.mispredict_loss_j - prev_.mispredict_loss_j;
-  w.decisions = cur.decisions - prev_.decisions;
-  w.migrations = cur.migrations - prev_.migrations;
-  w.preloads = cur.preloads - prev_.preloads;
-  w.write_delays = cur.write_delays - prev_.write_delays;
-  w.write_delay_admits = cur.write_delay_admits - prev_.write_delay_admits;
-  w.write_delay_flushes = cur.write_delay_flushes - prev_.write_delay_flushes;
-  w.write_delay_flush_bytes =
-      cur.write_delay_flush_bytes - prev_.write_delay_flush_bytes;
+  auto take = [&](const auto& deltas) {
+    for (const auto& d : deltas) {
+      w.*d.window = cur.*d.ledger - prev_.*d.ledger;
+      prev_.*d.ledger = cur.*d.ledger;
+    }
+  };
+  take(kEnergyDeltas);
+  take(kCountDeltas);
+  w.off_windows = static_cast<int64_t>(cur.off_windows.size()) -
+                  static_cast<int64_t>(prev_off_count_);
   w.cum_credit_j = cur.off_credit_j;
   w.cum_debit_j = cur.off_debit_j;
   w.cum_off_windows = static_cast<int64_t>(cur.off_windows.size());
@@ -114,19 +141,6 @@ void RollingSummary::CloseWindow(SimTime end, bool terminal) {
     }
   }
 
-  prev_.credit_j = cur.off_credit_j;
-  prev_.debit_j = cur.off_debit_j;
-  prev_.actual_j = cur.off_actual_j;
-  prev_.dwell_us = cur.off_dwell_us;
-  prev_.mispredicts = cur.mispredicts;
-  prev_.mispredict_loss_j = cur.mispredict_loss_j;
-  prev_.decisions = cur.decisions;
-  prev_.migrations = cur.migrations;
-  prev_.preloads = cur.preloads;
-  prev_.write_delays = cur.write_delays;
-  prev_.write_delay_admits = cur.write_delay_admits;
-  prev_.write_delay_flushes = cur.write_delay_flushes;
-  prev_.write_delay_flush_bytes = cur.write_delay_flush_bytes;
   prev_off_count_ = cur.off_windows.size();
 
   WriteWindowLine(w);
@@ -144,10 +158,7 @@ void RollingSummary::WriteMetaLine() {
   const ExportMeta& meta = ledger_.meta();
   std::string line = "{\"type\":\"rolling_meta\"";
   AppendKV(&line, "schema", 1);
-  line += ",\"workload\":\"" + meta.workload + "\"";
-  line += ",\"policy\":\"" + meta.policy + "\"";
-  AppendKV(&line, "num_enclosures", meta.num_enclosures);
-  AppendKV(&line, "duration_us", meta.duration);
+  AppendMetaIdentity(&line, meta);
   AppendKV(&line, "window_us", options_.window_us);
   AppendKV(&line, "has_power_model", meta.has_power_model ? 1 : 0);
   line += "}\n";
@@ -241,32 +252,11 @@ void RollingSummary::WriteWindowLine(const RollingWindow& w) {
 
 void RollingSummary::WriteFinalLine() {
   if (options_.jsonl == nullptr) return;
-  const EnergyLedger ledger = ledger_.Snapshot();
   std::string line = "{\"type\":\"rolling_final\"";
   AppendKV(&line, "at_us", final_.at);
   AppendKV(&line, "windows", windows_closed_);
-  AppendKVF(&line, "enclosure_energy_j", ledger_.meta().enclosure_energy_j);
-  AppendKVF(&line, "controller_energy_j", ledger_.meta().controller_energy_j);
-  AppendKVF(&line, "total_energy_j", ledger_.meta().enclosure_energy_j +
-                                         ledger_.meta().controller_energy_j);
-  AppendKVF(&line, "off_credit_j", ledger.off_credit_j);
-  AppendKVF(&line, "off_debit_j", ledger.off_debit_j);
-  AppendKVF(&line, "net_saving_j", ledger.off_credit_j - ledger.off_debit_j);
-  AppendKVF(&line, "off_actual_j", ledger.off_actual_j);
-  AppendKV(&line, "off_dwell_us", ledger.off_dwell_us);
-  AppendKV(&line, "off_windows",
-           static_cast<int64_t>(ledger.off_windows.size()));
-  AppendKV(&line, "mispredicts", ledger.mispredicts);
-  AppendKVF(&line, "mispredict_loss_j", ledger.mispredict_loss_j);
-  AppendKVF(&line, "advisory_credit_j", ledger.advisory_credit_j);
-  AppendKVF(&line, "advisory_debit_j", ledger.advisory_debit_j);
-  AppendKV(&line, "plans", ledger.plans);
-  AppendKV(&line, "decisions", ledger.decisions);
-  AppendKV(&line, "migrations", ledger.migrations);
-  AppendKV(&line, "preloads", ledger.preloads);
-  AppendKV(&line, "write_delays", ledger.write_delays);
-  AppendKV(&line, "has_finals", ledger.has_finals ? 1 : 0);
-  AppendKVF(&line, "reconcile_rel_err", ledger.reconcile_rel_err);
+  AppendSummaryFields(SummarizeLedger(ledger_.meta(), ledger_.Snapshot()),
+                      &line);
   line += "}\n";
   std::fputs(line.c_str(), options_.jsonl);
   std::fflush(options_.jsonl);

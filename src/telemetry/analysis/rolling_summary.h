@@ -105,8 +105,9 @@ class RollingSummary : public StreamConsumer {
     /// equals the window length, the delta is exactly the window's I/Os.
     const LatencyBook* book = nullptr;
     /// Append-only JSONL sink, one line per window plus a rolling_meta
-    /// head and a rolling_final trailer; flushed per line so the file is
-    /// tailable mid-run. Not owned. May be null.
+    /// head and a rolling_final trailer (the run's Summary scalars under
+    /// the summary file's keys, plus `at_us` and `windows`); flushed per
+    /// line so the file is tailable mid-run. Not owned. May be null.
     std::FILE* jsonl = nullptr;
     /// Human progress sink (e.g. stdout). Not owned. May be null.
     std::FILE* progress = nullptr;
@@ -122,11 +123,9 @@ class RollingSummary : public StreamConsumer {
 
   const std::deque<RollingWindow>& windows() const { return windows_; }
   int64_t windows_closed() const { return windows_closed_; }
-  const IncrementalEnergyLedger& ledger() const { return ledger_; }
   /// Full batch-equivalent ledger (after OnFinish: the whole run).
   EnergyLedger FinalLedger() const { return ledger_.Snapshot(); }
   bool finished() const { return finished_; }
-  const StreamFinal& final_record() const { return final_; }
 
  private:
   void CloseWindow(SimTime end, bool terminal);
@@ -143,24 +142,10 @@ class RollingSummary : public StreamConsumer {
   int64_t windows_closed_ = 0;
   std::deque<RollingWindow> windows_;
 
-  // Previous cumulative exact-account snapshot (scalars + off-window
-  // index), diffed at each close.
-  struct Cum {
-    double credit_j = 0.0;
-    double debit_j = 0.0;
-    double actual_j = 0.0;
-    SimDuration dwell_us = 0;
-    int64_t mispredicts = 0;
-    double mispredict_loss_j = 0.0;
-    int64_t decisions = 0;
-    int64_t migrations = 0;
-    int64_t preloads = 0;
-    int64_t write_delays = 0;
-    int64_t write_delay_admits = 0;
-    int64_t write_delay_flushes = 0;
-    int64_t write_delay_flush_bytes = 0;
-  };
-  Cum prev_;
+  // The ledger's cumulative exact-account scalars at the previous close
+  // (its off-window list stays empty; prev_off_count_ indexes the live
+  // one), diffed at each close.
+  EnergyLedger prev_;
   size_t prev_off_count_ = 0;
   LatencyBook prev_book_;
 

@@ -4,20 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <iterator>
 
 #include "telemetry/flat_json.h"
 
 namespace ecostore::telemetry::analysis {
 
 namespace {
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 int PatternFromName(const std::string& name) {
   for (int p = 0; p < kNumPatternSlots; ++p) {
@@ -33,47 +26,115 @@ int OutcomeFromName(const std::string& name) {
   return 0;
 }
 
-void PrintKVF(std::FILE* f, const char* indent, const char* key, double value,
-              bool comma) {
-  std::fprintf(f, "%s\"%s\": %.17g%s\n", indent, key, value, comma ? "," : "");
+using Value = FlatValue;
+using Meta = const ExportMeta&;
+using Ledger = const EnergyLedger&;
+
+// One scalar of the account: the file section it is written in ("" for
+// the top level), its key, the member it lives in, whether
+// CompareSummaries gates it, and what SummarizeLedger fills it from.
+struct Field {
+  const char* section;
+  const char* key;
+  MemberOf<Summary> member;
+  bool gated;
+  Value (*from)(Meta meta, Ledger ledger);
+};
+
+// The run account, listed once, in file order. Every writer, reader and
+// the comparison walk this table.
+const Field kFields[] = {
+    {"", "workload", &Summary::workload, false,
+     [](Meta m, Ledger) -> Value { return m.workload; }},
+    {"", "policy", &Summary::policy, false,
+     [](Meta m, Ledger) -> Value { return m.policy; }},
+    {"", "num_enclosures", &Summary::num_enclosures, false,
+     [](Meta m, Ledger) -> Value { return m.num_enclosures; }},
+    {"", "duration_us", &Summary::duration, false,
+     [](Meta m, Ledger) -> Value { return m.duration; }},
+    {"energy", "enclosure_j", &Summary::enclosure_energy_j, true,
+     [](Meta m, Ledger) -> Value { return m.enclosure_energy_j; }},
+    {"energy", "controller_j", &Summary::controller_energy_j, true,
+     [](Meta m, Ledger) -> Value { return m.controller_energy_j; }},
+    {"energy", "total_j", &Summary::total_energy_j, true,
+     [](Meta m, Ledger) -> Value {
+       return m.enclosure_energy_j + m.controller_energy_j;
+     }},
+    {"energy", "has_ledger", &Summary::has_ledger, false,
+     [](Meta m, Ledger l) -> Value {
+       return int64_t{m.has_power_model && l.has_finals};
+     }},
+    {"energy", "ledger_enclosure_j", &Summary::ledger_enclosure_j, false,
+     [](Meta, Ledger l) -> Value { return l.ledger_enclosure_j; }},
+    {"energy", "reconcile_rel_err", &Summary::reconcile_rel_err, true,
+     [](Meta, Ledger l) -> Value { return l.reconcile_rel_err; }},
+    {"energy", "off_credit_j", &Summary::off_credit_j, true,
+     [](Meta, Ledger l) -> Value { return l.off_credit_j; }},
+    {"energy", "off_debit_j", &Summary::off_debit_j, true,
+     [](Meta, Ledger l) -> Value { return l.off_debit_j; }},
+    {"energy", "net_saving_j", &Summary::net_saving_j, true,
+     [](Meta, Ledger l) -> Value { return l.off_credit_j - l.off_debit_j; }},
+    {"energy", "advisory_credit_j", &Summary::advisory_credit_j, true,
+     [](Meta, Ledger l) -> Value { return l.advisory_credit_j; }},
+    {"energy", "advisory_debit_j", &Summary::advisory_debit_j, true,
+     [](Meta, Ledger l) -> Value { return l.advisory_debit_j; }},
+    {"energy", "mispredict_loss_j", &Summary::mispredict_loss_j, true,
+     [](Meta, Ledger l) -> Value { return l.mispredict_loss_j; }},
+    {"plans", "plans", &Summary::plans, true,
+     [](Meta, Ledger l) -> Value { return l.plans; }},
+    {"plans", "decisions", &Summary::decisions, true,
+     [](Meta, Ledger l) -> Value { return l.decisions; }},
+    {"plans", "off_windows", &Summary::off_windows, true,
+     [](Meta, Ledger l) -> Value {
+       return static_cast<int64_t>(l.off_windows.size());
+     }},
+    {"plans", "mispredicts", &Summary::mispredicts, true,
+     [](Meta, Ledger l) -> Value { return l.mispredicts; }},
+    {"plans", "migrations", &Summary::migrations, true,
+     [](Meta, Ledger l) -> Value { return l.migrations; }},
+    {"plans", "preloads", &Summary::preloads, true,
+     [](Meta, Ledger l) -> Value { return l.preloads; }},
+    {"plans", "write_delays", &Summary::write_delays, true,
+     [](Meta, Ledger l) -> Value { return l.write_delays; }},
+};
+
+// The digest of a latency row, after its (pattern, outcome) key; every
+// one is gated.
+const KeyedMember<LatencyRow> kLatencyFields[] = {
+    {"count", &LatencyRow::count},   {"p50_us", &LatencyRow::p50_us},
+    {"p95_us", &LatencyRow::p95_us}, {"p99_us", &LatencyRow::p99_us},
+    {"max_us", &LatencyRow::max_us}, {"mean_us", &LatencyRow::mean_us},
+};
+
+// A gated value as a double (every gated field is a number).
+double AsDouble(const Value& value) {
+  const double* d = std::get_if<double>(&value);
+  return d != nullptr ? *d : static_cast<double>(std::get<int64_t>(value));
 }
 
-void PrintKVI(std::FILE* f, const char* indent, const char* key, int64_t value,
-              bool comma) {
-  std::fprintf(f, "%s\"%s\": %lld%s\n", indent, key,
-               static_cast<long long>(value), comma ? "," : "");
+void CompareField(std::vector<SummaryDiff>* diffs, const std::string& field,
+                  double a, double b, double tolerance) {
+  // Relative comparison floored at 1.0 absolute units so zero-valued
+  // counters compare exactly without dividing by zero.
+  const double denom = std::max({std::fabs(a), std::fabs(b), 1.0});
+  const double rel = std::fabs(a - b) / denom;
+  if (rel > tolerance) diffs->push_back(SummaryDiff{field, a, b, rel});
 }
 
 }  // namespace
 
+Summary SummarizeLedger(const ExportMeta& meta, const EnergyLedger& ledger) {
+  Summary s;
+  for (const Field& field : kFields) {
+    SetMember(&s, field.member, field.from(meta, ledger));
+  }
+  return s;
+}
+
 Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
                      EnergyLedger* out_ledger) {
-  Summary s;
-  s.workload = meta.workload;
-  s.policy = meta.policy;
-  s.num_enclosures = meta.num_enclosures;
-  s.duration = meta.duration;
-  s.enclosure_energy_j = meta.enclosure_energy_j;
-  s.controller_energy_j = meta.controller_energy_j;
-  s.total_energy_j = meta.enclosure_energy_j + meta.controller_energy_j;
-
   EnergyLedger ledger = BuildLedger(meta, events);
-  s.has_ledger = meta.has_power_model && ledger.has_finals;
-  s.ledger_enclosure_j = ledger.ledger_enclosure_j;
-  s.reconcile_rel_err = ledger.reconcile_rel_err;
-  s.off_credit_j = ledger.off_credit_j;
-  s.off_debit_j = ledger.off_debit_j;
-  s.net_saving_j = ledger.off_credit_j - ledger.off_debit_j;
-  s.advisory_credit_j = ledger.advisory_credit_j;
-  s.advisory_debit_j = ledger.advisory_debit_j;
-  s.mispredict_loss_j = ledger.mispredict_loss_j;
-  s.plans = ledger.plans;
-  s.decisions = ledger.decisions;
-  s.off_windows = static_cast<int64_t>(ledger.off_windows.size());
-  s.mispredicts = ledger.mispredicts;
-  s.migrations = ledger.migrations;
-  s.preloads = ledger.preloads;
-  s.write_delays = ledger.write_delays;
+  Summary s = SummarizeLedger(meta, ledger);
 
   // Latency digests in fixed (pattern, outcome) order regardless of the
   // order the capture carried them in.
@@ -106,49 +167,34 @@ Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
 Status WriteSummaryJson(const std::string& path, const Summary& s) {
   FilePtr f(std::fopen(path.c_str(), "w"));
   if (f == nullptr) return Status::IoError("cannot write " + path);
-  std::fprintf(f.get(), "{\n");
-  std::fprintf(f.get(), "  \"type\": \"summary\",\n");
-  std::fprintf(f.get(), "  \"schema\": 1,\n");
-  std::fprintf(f.get(), "  \"workload\": \"%s\",\n", s.workload.c_str());
-  std::fprintf(f.get(), "  \"policy\": \"%s\",\n", s.policy.c_str());
-  PrintKVI(f.get(), "  ", "num_enclosures", s.num_enclosures, true);
-  PrintKVI(f.get(), "  ", "duration_us", s.duration, true);
-  std::fprintf(f.get(), "  \"energy\": {\n");
-  PrintKVF(f.get(), "    ", "enclosure_j", s.enclosure_energy_j, true);
-  PrintKVF(f.get(), "    ", "controller_j", s.controller_energy_j, true);
-  PrintKVF(f.get(), "    ", "total_j", s.total_energy_j, true);
-  PrintKVI(f.get(), "    ", "has_ledger", s.has_ledger ? 1 : 0, true);
-  PrintKVF(f.get(), "    ", "ledger_enclosure_j", s.ledger_enclosure_j, true);
-  PrintKVF(f.get(), "    ", "reconcile_rel_err", s.reconcile_rel_err, true);
-  PrintKVF(f.get(), "    ", "off_credit_j", s.off_credit_j, true);
-  PrintKVF(f.get(), "    ", "off_debit_j", s.off_debit_j, true);
-  PrintKVF(f.get(), "    ", "net_saving_j", s.net_saving_j, true);
-  PrintKVF(f.get(), "    ", "advisory_credit_j", s.advisory_credit_j, true);
-  PrintKVF(f.get(), "    ", "advisory_debit_j", s.advisory_debit_j, true);
-  PrintKVF(f.get(), "    ", "mispredict_loss_j", s.mispredict_loss_j, false);
-  std::fprintf(f.get(), "  },\n");
-  std::fprintf(f.get(), "  \"plans\": {\n");
-  PrintKVI(f.get(), "    ", "plans", s.plans, true);
-  PrintKVI(f.get(), "    ", "decisions", s.decisions, true);
-  PrintKVI(f.get(), "    ", "off_windows", s.off_windows, true);
-  PrintKVI(f.get(), "    ", "mispredicts", s.mispredicts, true);
-  PrintKVI(f.get(), "    ", "migrations", s.migrations, true);
-  PrintKVI(f.get(), "    ", "preloads", s.preloads, true);
-  PrintKVI(f.get(), "    ", "write_delays", s.write_delays, false);
-  std::fprintf(f.get(), "  },\n");
+  std::fprintf(f.get(), "{\n  \"type\": \"summary\",\n  \"schema\": 1,\n");
+  // Top-level fields each end in a comma (the sections follow); a nested
+  // section opens before its first field and closes after its last.
+  const size_t n = std::size(kFields);
+  for (size_t i = 0; i < n; ++i) {
+    const Field& field = kFields[i];
+    const bool top = field.section[0] == '\0';
+    const bool first = i == 0 || std::strcmp(kFields[i - 1].section,
+                                             field.section) != 0;
+    const bool last =
+        i + 1 == n || std::strcmp(kFields[i + 1].section, field.section) != 0;
+    if (!top && first) std::fprintf(f.get(), "  \"%s\": {\n", field.section);
+    std::fprintf(f.get(), "%s\"%s\": %s%s\n", top ? "  " : "    ", field.key,
+                 FormatFlatValue(GetMember(s, field.member)).c_str(),
+                 top || !last ? "," : "");
+    if (!top && last) std::fprintf(f.get(), "  },\n");
+  }
   std::fprintf(f.get(), "  \"latency\": [\n");
   for (size_t i = 0; i < s.latency.size(); ++i) {
     const LatencyRow& r = s.latency[i];
-    std::fprintf(f.get(),
-                 "    {\"pattern\": \"%s\", \"outcome\": \"%s\", "
-                 "\"count\": %lld, \"p50_us\": %lld, \"p95_us\": %lld, "
-                 "\"p99_us\": %lld, \"max_us\": %lld, \"mean_us\": %.17g}%s\n",
-                 PatternSlotName(r.pattern), IoOutcomeName(r.outcome),
-                 static_cast<long long>(r.count),
-                 static_cast<long long>(r.p50_us),
-                 static_cast<long long>(r.p95_us),
-                 static_cast<long long>(r.p99_us),
-                 static_cast<long long>(r.max_us), r.mean_us,
+    std::string row = std::string("{\"pattern\": \"") +
+                      PatternSlotName(r.pattern) + "\", \"outcome\": \"" +
+                      IoOutcomeName(r.outcome) + "\"";
+    for (const auto& [key, member] : kLatencyFields) {
+      row += std::string(", \"") + key +
+             "\": " + FormatFlatValue(GetMember(r, member));
+    }
+    std::fprintf(f.get(), "    %s}%s\n", row.c_str(),
                  i + 1 < s.latency.size() ? "," : "");
   }
   std::fprintf(f.get(), "  ]\n");
@@ -160,103 +206,49 @@ Status ParseSummaryFile(const std::string& path, Summary* s) {
   FilePtr f(std::fopen(path.c_str(), "r"));
   if (f == nullptr) return Status::IoError("cannot read " + path);
   *s = Summary{};
-  enum class Section { kTop, kEnergy, kPlans, kLatency };
-  Section section = Section::kTop;
+  // The section the current line sits in: "" (top level), a field-table
+  // section name, or "latency".
+  std::string section;
   bool is_summary = false;
   char buf[4096];
   while (std::fgets(buf, sizeof(buf), f.get()) != nullptr) {
     std::string line(buf);
-    if (line.find("\"energy\": {") != std::string::npos) {
-      section = Section::kEnergy;
-      continue;
-    }
-    if (line.find("\"plans\": {") != std::string::npos) {
-      section = Section::kPlans;
-      continue;
-    }
-    if (line.find("\"latency\": [") != std::string::npos) {
-      section = Section::kLatency;
-      continue;
-    }
-    // Section terminators ("  }," / "  ]").
     std::string trimmed = line;
     trimmed.erase(0, trimmed.find_first_not_of(" \t"));
     while (!trimmed.empty() &&
            (trimmed.back() == '\n' || trimmed.back() == '\r')) {
       trimmed.pop_back();
     }
-    if (section != Section::kTop &&
-        (trimmed == "}," || trimmed == "}" || trimmed == "]," ||
-         trimmed == "]")) {
-      section = Section::kTop;
+    // Section openers ("\"energy\": {" / "\"latency\": [") and
+    // terminators ("}," / "]").
+    if (trimmed.size() > 4 && trimmed[0] == '"' &&
+        (trimmed.back() == '{' || trimmed.back() == '[')) {
+      section = trimmed.substr(1, trimmed.find('"', 1) - 1);
+      continue;
+    }
+    if (!section.empty() && (trimmed == "}," || trimmed == "}" ||
+                             trimmed == "]," || trimmed == "]")) {
+      section.clear();
       continue;
     }
     FlatJson json{line};
-    switch (section) {
-      case Section::kTop:
-        if (json.Str("type") == "summary") is_summary = true;
-        if (json.Has("workload")) s->workload = json.Str("workload");
-        if (json.Has("policy")) s->policy = json.Str("policy");
-        if (json.Has("num_enclosures")) {
-          s->num_enclosures = static_cast<int>(json.Int("num_enclosures"));
-        }
-        if (json.Has("duration_us")) s->duration = json.Int("duration_us");
-        break;
-      case Section::kEnergy:
-        if (json.Has("enclosure_j")) {
-          s->enclosure_energy_j = json.Dbl("enclosure_j");
-        }
-        if (json.Has("controller_j")) {
-          s->controller_energy_j = json.Dbl("controller_j");
-        }
-        if (json.Has("total_j")) s->total_energy_j = json.Dbl("total_j");
-        if (json.Has("has_ledger")) s->has_ledger = json.Int("has_ledger") != 0;
-        if (json.Has("ledger_enclosure_j")) {
-          s->ledger_enclosure_j = json.Dbl("ledger_enclosure_j");
-        }
-        if (json.Has("reconcile_rel_err")) {
-          s->reconcile_rel_err = json.Dbl("reconcile_rel_err");
-        }
-        if (json.Has("off_credit_j")) s->off_credit_j = json.Dbl("off_credit_j");
-        if (json.Has("off_debit_j")) s->off_debit_j = json.Dbl("off_debit_j");
-        if (json.Has("net_saving_j")) s->net_saving_j = json.Dbl("net_saving_j");
-        if (json.Has("advisory_credit_j")) {
-          s->advisory_credit_j = json.Dbl("advisory_credit_j");
-        }
-        if (json.Has("advisory_debit_j")) {
-          s->advisory_debit_j = json.Dbl("advisory_debit_j");
-        }
-        if (json.Has("mispredict_loss_j")) {
-          s->mispredict_loss_j = json.Dbl("mispredict_loss_j");
-        }
-        break;
-      case Section::kPlans:
-        if (json.Has("plans")) s->plans = json.Int("plans");
-        if (json.Has("decisions")) s->decisions = json.Int("decisions");
-        if (json.Has("off_windows")) s->off_windows = json.Int("off_windows");
-        if (json.Has("mispredicts")) s->mispredicts = json.Int("mispredicts");
-        if (json.Has("migrations")) s->migrations = json.Int("migrations");
-        if (json.Has("preloads")) s->preloads = json.Int("preloads");
-        if (json.Has("write_delays")) {
-          s->write_delays = json.Int("write_delays");
-        }
-        break;
-      case Section::kLatency:
-        if (json.Has("pattern") && json.Has("outcome")) {
-          LatencyRow row;
-          row.pattern = static_cast<uint8_t>(PatternFromName(
-              json.Str("pattern")));
-          row.outcome = static_cast<uint8_t>(OutcomeFromName(
-              json.Str("outcome")));
-          row.count = json.Int("count");
-          row.p50_us = json.Int("p50_us");
-          row.p95_us = json.Int("p95_us");
-          row.p99_us = json.Int("p99_us");
-          row.max_us = json.Int("max_us");
-          row.mean_us = json.Dbl("mean_us");
-          s->latency.push_back(row);
-        }
-        break;
+    if (section == "latency") {
+      if (json.Has("pattern") && json.Has("outcome")) {
+        LatencyRow row;
+        row.pattern =
+            static_cast<uint8_t>(PatternFromName(json.Str("pattern")));
+        row.outcome =
+            static_cast<uint8_t>(OutcomeFromName(json.Str("outcome")));
+        ReadMembers(json, kLatencyFields, &row);
+        s->latency.push_back(row);
+      }
+      continue;
+    }
+    if (section.empty() && json.Str("type") == "summary") is_summary = true;
+    for (const Field& field : kFields) {
+      if (section == field.section && json.Has(field.key)) {
+        ReadMember(json, field.key, field.member, s);
+      }
     }
   }
   if (!is_summary) {
@@ -265,47 +257,33 @@ Status ParseSummaryFile(const std::string& path, Summary* s) {
   return Status::OK();
 }
 
-namespace {
-
-void CompareField(std::vector<SummaryDiff>* diffs, const char* field, double a,
-                  double b, double tolerance) {
-  // Relative comparison floored at 1.0 absolute units so zero-valued
-  // counters compare exactly without dividing by zero.
-  const double denom = std::max({std::fabs(a), std::fabs(b), 1.0});
-  const double rel = std::fabs(a - b) / denom;
-  if (rel > tolerance) diffs->push_back(SummaryDiff{field, a, b, rel});
+void AppendSummaryFields(const Summary& s, std::string* line) {
+  for (const Field& field : kFields) {
+    *line += ",\"";
+    *line += field.key;
+    *line += "\":";
+    *line += FormatFlatValue(GetMember(s, field.member));
+  }
 }
 
-}  // namespace
+Summary SummaryFromLine(const std::string& line) {
+  Summary s;
+  FlatJson json{line};
+  for (const Field& field : kFields) {
+    if (json.Has(field.key)) ReadMember(json, field.key, field.member, &s);
+  }
+  return s;
+}
 
 std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
                                           double tolerance) {
   std::vector<SummaryDiff> diffs;
-  CompareField(&diffs, "energy.enclosure_j", a.enclosure_energy_j,
-               b.enclosure_energy_j, tolerance);
-  CompareField(&diffs, "energy.controller_j", a.controller_energy_j,
-               b.controller_energy_j, tolerance);
-  CompareField(&diffs, "energy.total_j", a.total_energy_j, b.total_energy_j,
-               tolerance);
-  CompareField(&diffs, "energy.net_saving_j", a.net_saving_j, b.net_saving_j,
-               tolerance);
-  CompareField(&diffs, "energy.mispredict_loss_j", a.mispredict_loss_j,
-               b.mispredict_loss_j, tolerance);
-  CompareField(&diffs, "plans.plans", static_cast<double>(a.plans),
-               static_cast<double>(b.plans), tolerance);
-  CompareField(&diffs, "plans.decisions", static_cast<double>(a.decisions),
-               static_cast<double>(b.decisions), tolerance);
-  CompareField(&diffs, "plans.off_windows", static_cast<double>(a.off_windows),
-               static_cast<double>(b.off_windows), tolerance);
-  CompareField(&diffs, "plans.mispredicts", static_cast<double>(a.mispredicts),
-               static_cast<double>(b.mispredicts), tolerance);
-  CompareField(&diffs, "plans.migrations", static_cast<double>(a.migrations),
-               static_cast<double>(b.migrations), tolerance);
-  CompareField(&diffs, "plans.preloads", static_cast<double>(a.preloads),
-               static_cast<double>(b.preloads), tolerance);
-  CompareField(&diffs, "plans.write_delays",
-               static_cast<double>(a.write_delays),
-               static_cast<double>(b.write_delays), tolerance);
+  for (const Field& field : kFields) {
+    if (!field.gated) continue;
+    CompareField(&diffs, std::string(field.section) + "." + field.key,
+                 AsDouble(GetMember(a, field.member)),
+                 AsDouble(GetMember(b, field.member)), tolerance);
+  }
 
   auto row_key = [](const LatencyRow& r) {
     return std::string(PatternSlotName(r.pattern)) + "/" +
@@ -326,24 +304,11 @@ std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
                                   static_cast<double>(ra.count), 0.0, 1.0});
       continue;
     }
-    const std::string prefix = "latency." + key + ".";
-    CompareField(&diffs, (prefix + "count").c_str(),
-                 static_cast<double>(ra.count), static_cast<double>(rb->count),
-                 tolerance);
-    CompareField(&diffs, (prefix + "p50_us").c_str(),
-                 static_cast<double>(ra.p50_us),
-                 static_cast<double>(rb->p50_us), tolerance);
-    CompareField(&diffs, (prefix + "p95_us").c_str(),
-                 static_cast<double>(ra.p95_us),
-                 static_cast<double>(rb->p95_us), tolerance);
-    CompareField(&diffs, (prefix + "p99_us").c_str(),
-                 static_cast<double>(ra.p99_us),
-                 static_cast<double>(rb->p99_us), tolerance);
-    CompareField(&diffs, (prefix + "max_us").c_str(),
-                 static_cast<double>(ra.max_us),
-                 static_cast<double>(rb->max_us), tolerance);
-    CompareField(&diffs, (prefix + "mean_us").c_str(), ra.mean_us, rb->mean_us,
-                 tolerance);
+    for (const auto& [field, member] : kLatencyFields) {
+      CompareField(&diffs, "latency." + key + "." + field,
+                   AsDouble(GetMember(ra, member)),
+                   AsDouble(GetMember(*rb, member)), tolerance);
+    }
   }
   for (const LatencyRow& rb : b.latency) {
     if (find_row(a, row_key(rb)) == nullptr) {

@@ -1,9 +1,12 @@
 #ifndef ECOSTORE_TELEMETRY_ANALYSIS_SUMMARY_H_
 #define ECOSTORE_TELEMETRY_ANALYSIS_SUMMARY_H_
 
-// Machine-readable run summary: the stable-field-order JSON written by
+// The run account: the stable-field-order JSON written by
 // `--telemetry-summary=<path>` and by `eco_report score --summary=...`,
-// and the numeric comparison behind `eco_report regress` (the CI gate).
+// the `rolling_final` line of a rolling-summary JSONL, and the numeric
+// comparison behind both CLI gates. One field table (summary.cc) names
+// each scalar once; the writers, the readers and the comparison all walk
+// it.
 //
 // The writer emits every scalar on its own line in a fixed order, so the
 // file is both human-diffable and parseable by the same flat line scanner
@@ -67,7 +70,13 @@ struct Summary {
   std::vector<LatencyRow> latency;
 };
 
-/// Builds the summary from a capture (meta + events). When `out_ledger`
+/// The run account of a ledger: identity and measured energies from
+/// `meta`, the exact and advisory account and the decision tallies from
+/// `ledger`. Carries no latency rows.
+Summary SummarizeLedger(const ExportMeta& meta, const EnergyLedger& ledger);
+
+/// Builds the summary from a capture (meta + events): SummarizeLedger
+/// over the capture's ledger plus its latency digests. When `out_ledger`
 /// is non-null the full ledger is copied out for detailed reporting.
 Summary BuildSummary(const ExportMeta& meta, const std::vector<Event>& events,
                      EnergyLedger* out_ledger = nullptr);
@@ -78,6 +87,15 @@ Status WriteSummaryJson(const std::string& path, const Summary& summary);
 /// Parses a WriteSummaryJson file back.
 Status ParseSummaryFile(const std::string& path, Summary* summary);
 
+/// Appends every summary scalar to a flat one-line JSON object as
+/// `,"<key>":<value>` with the summary file's keys (sections dropped).
+/// The rolling consumer's `rolling_final` line is written this way.
+void AppendSummaryFields(const Summary& summary, std::string* line);
+
+/// Reads the scalars AppendSummaryFields wrote back from one flat JSON
+/// line; keys the line lacks keep their defaults.
+Summary SummaryFromLine(const std::string& line);
+
 /// One numeric field that differs beyond tolerance.
 struct SummaryDiff {
   std::string field;
@@ -86,9 +104,11 @@ struct SummaryDiff {
   double rel_err = 0.0;
 };
 
-/// Compares the gate-relevant numeric fields of two summaries with a
-/// relative tolerance (floored at 1.0 absolute units so zero-valued
-/// counters compare exactly). Empty result == no regression.
+/// Compares the gated fields of two summaries — every energy and plan
+/// scalar except `has_ledger` and `ledger_enclosure_j`, then the latency
+/// rows — with a relative tolerance (floored at 1.0 absolute units so
+/// zero-valued counters compare exactly). Empty result == no regression.
+/// Both CLI gates (`eco_report regress` and `tail --reconcile`) use it.
 std::vector<SummaryDiff> CompareSummaries(const Summary& a, const Summary& b,
                                           double tolerance);
 

@@ -198,14 +198,37 @@ Event EventFromJson(const FlatJson& json, EventKind kind) {
   return e;
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
+// The capture meta line's run identity, in line order.
+const KeyedMember<ExportMeta> kMetaIdentity[] = {
+    {"workload", &ExportMeta::workload},
+    {"policy", &ExportMeta::policy},
+    {"num_enclosures", &ExportMeta::num_enclosures},
+    {"duration_us", &ExportMeta::duration},
 };
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+// Its power model and measured energies, written after "has_power_model"
+// only when the run had one.
+const KeyedMember<ExportMeta> kMetaPowerModel[] = {
+    {"idle_power_w", &ExportMeta::idle_power_w},
+    {"active_power_w", &ExportMeta::active_power_w},
+    {"off_power_w", &ExportMeta::off_power_w},
+    {"spinup_power_w", &ExportMeta::spinup_power_w},
+    {"controller_power_w", &ExportMeta::controller_power_w},
+    {"spinup_time_us", &ExportMeta::spinup_time_us},
+    {"break_even_us", &ExportMeta::break_even_us},
+    {"spindown_timeout_us", &ExportMeta::spindown_timeout_us},
+    {"cache_total_bytes", &ExportMeta::cache_total_bytes},
+    {"preload_area_bytes", &ExportMeta::preload_area_bytes},
+    {"write_delay_area_bytes", &ExportMeta::write_delay_area_bytes},
+    {"enclosure_energy_j", &ExportMeta::enclosure_energy_j},
+    {"controller_energy_j", &ExportMeta::controller_energy_j},
+};
 
 }  // namespace
+
+void AppendMetaIdentity(std::string* line, const ExportMeta& meta) {
+  AppendMembers(line, meta, kMetaIdentity);
+}
 
 const char* PowerSegmentStateName(uint8_t state) {
   switch (state) {
@@ -223,31 +246,11 @@ Status WriteJsonl(const std::string& path, const ExportMeta& meta,
                   const std::vector<Event>& events) {
   FilePtr f(std::fopen(path.c_str(), "w"));
   if (f == nullptr) return Status::IoError("cannot write " + path);
-  std::string head;
-  {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"type\":\"meta\",\"workload\":\"%s\",\"policy\":\"%s\","
-                  "\"num_enclosures\":%d,\"duration_us\":%lld",
-                  meta.workload.c_str(), meta.policy.c_str(),
-                  meta.num_enclosures, static_cast<long long>(meta.duration));
-    head += buf;
-  }
+  std::string head = "{\"type\":\"meta\"";
+  AppendMetaIdentity(&head, meta);
   if (meta.has_power_model) {
     AppendKV(&head, "has_power_model", 1);
-    AppendKVF(&head, "idle_power_w", meta.idle_power_w);
-    AppendKVF(&head, "active_power_w", meta.active_power_w);
-    AppendKVF(&head, "off_power_w", meta.off_power_w);
-    AppendKVF(&head, "spinup_power_w", meta.spinup_power_w);
-    AppendKVF(&head, "controller_power_w", meta.controller_power_w);
-    AppendKV(&head, "spinup_time_us", meta.spinup_time_us);
-    AppendKV(&head, "break_even_us", meta.break_even_us);
-    AppendKV(&head, "spindown_timeout_us", meta.spindown_timeout_us);
-    AppendKV(&head, "cache_total_bytes", meta.cache_total_bytes);
-    AppendKV(&head, "preload_area_bytes", meta.preload_area_bytes);
-    AppendKV(&head, "write_delay_area_bytes", meta.write_delay_area_bytes);
-    AppendKVF(&head, "enclosure_energy_j", meta.enclosure_energy_j);
-    AppendKVF(&head, "controller_energy_j", meta.controller_energy_j);
+    AppendMembers(&head, meta, kMetaPowerModel);
   }
   AppendKV(&head, "events", static_cast<int64_t>(events.size()));
   head += "}\n";
@@ -325,26 +328,9 @@ Status CaptureTailParser::Consume(const std::string& raw) {
   if (type == "meta") {
     have_meta_ = true;
     if (json.Has("events")) declared_events_ = json.Int("events");
-    meta_.workload = json.Str("workload");
-    meta_.policy = json.Str("policy");
-    meta_.num_enclosures = static_cast<int>(json.Int("num_enclosures"));
-    meta_.duration = json.Int("duration_us");
+    ReadMembers(json, kMetaIdentity, &meta_);
     meta_.has_power_model = json.Int("has_power_model") != 0;
-    if (meta_.has_power_model) {
-      meta_.idle_power_w = json.Dbl("idle_power_w");
-      meta_.active_power_w = json.Dbl("active_power_w");
-      meta_.off_power_w = json.Dbl("off_power_w");
-      meta_.spinup_power_w = json.Dbl("spinup_power_w");
-      meta_.controller_power_w = json.Dbl("controller_power_w");
-      meta_.spinup_time_us = json.Int("spinup_time_us");
-      meta_.break_even_us = json.Int("break_even_us");
-      meta_.spindown_timeout_us = json.Int("spindown_timeout_us");
-      meta_.cache_total_bytes = json.Int("cache_total_bytes");
-      meta_.preload_area_bytes = json.Int("preload_area_bytes");
-      meta_.write_delay_area_bytes = json.Int("write_delay_area_bytes");
-      meta_.enclosure_energy_j = json.Dbl("enclosure_energy_j");
-      meta_.controller_energy_j = json.Dbl("controller_energy_j");
-    }
+    if (meta_.has_power_model) ReadMembers(json, kMetaPowerModel, &meta_);
     return Status::OK();
   }
   if (type == "latency") {

@@ -70,6 +70,11 @@ struct ExportMeta {
 Status WriteJsonl(const std::string& path, const ExportMeta& meta,
                   const std::vector<Event>& events);
 
+/// Appends the run identity (workload, policy, num_enclosures,
+/// duration_us) as flat JSON `,"<key>":<value>` pairs, as the capture
+/// meta line carries it.
+void AppendMetaIdentity(std::string* line, const ExportMeta& meta);
+
 /// Parses a WriteJsonl file back (the eco_report / round-trip-test
 /// reader). Unknown *type* values are skipped so the format can grow, but
 /// structurally broken input — a line that is not a JSON object, an event

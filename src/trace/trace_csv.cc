@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -13,10 +14,17 @@ namespace {
 
 constexpr std::string_view kHeader = "time_us,item,offset,size,type,sequential,tag";
 
-bool ParseInt(std::string_view field, int64_t* out) {
+constexpr int64_t kInt32Min = std::numeric_limits<int32_t>::min();
+constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
+
+// Parses a whole field as an integer in [lo, hi].
+bool ParseInt(std::string_view field, int64_t* out,
+              int64_t lo = std::numeric_limits<int64_t>::min(),
+              int64_t hi = std::numeric_limits<int64_t>::max()) {
   auto [ptr, ec] =
       std::from_chars(field.data(), field.data() + field.size(), *out);
-  return ec == std::errc() && ptr == field.data() + field.size();
+  return ec == std::errc() && ptr == field.data() + field.size() &&
+         *out >= lo && *out <= hi;
 }
 
 // Splits a CSV line into exactly `n` comma-separated fields.
@@ -70,15 +78,15 @@ Result<std::vector<LogicalIoRecord>> ReadLogicalCsv(std::istream& in) {
       return Status::IoError("bad time at line " + std::to_string(line_no));
     }
     rec.time = v;
-    if (!ParseInt(fields[1], &v)) {
+    if (!ParseInt(fields[1], &v, kInt32Min, kInt32Max)) {
       return Status::IoError("bad item at line " + std::to_string(line_no));
     }
     rec.item = static_cast<DataItemId>(v);
-    if (!ParseInt(fields[2], &v)) {
+    if (!ParseInt(fields[2], &v, 0)) {
       return Status::IoError("bad offset at line " + std::to_string(line_no));
     }
     rec.offset = v;
-    if (!ParseInt(fields[3], &v)) {
+    if (!ParseInt(fields[3], &v, 1, kInt32Max)) {
       return Status::IoError("bad size at line " + std::to_string(line_no));
     }
     rec.size = static_cast<int32_t>(v);
@@ -94,7 +102,7 @@ Result<std::vector<LogicalIoRecord>> ReadLogicalCsv(std::istream& in) {
                              std::to_string(line_no));
     }
     rec.sequential = (v == 1);
-    if (!ParseInt(fields[6], &v)) {
+    if (!ParseInt(fields[6], &v, kInt32Min, kInt32Max)) {
       return Status::IoError("bad tag at line " + std::to_string(line_no));
     }
     rec.tag = static_cast<int32_t>(v);

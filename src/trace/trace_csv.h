@@ -17,7 +17,9 @@ Status WriteLogicalCsv(std::ostream& out,
                        const std::vector<LogicalIoRecord>& records);
 
 /// Parses logical I/O records from CSV produced by WriteLogicalCsv.
-/// Tolerates a missing header row. Fails on malformed rows.
+/// Tolerates a missing header row. Fails on malformed rows and on values
+/// the record cannot hold: `item` or `tag` outside int32, `offset < 0`,
+/// `size` outside [1, INT32_MAX].
 Result<std::vector<LogicalIoRecord>> ReadLogicalCsv(std::istream& in);
 
 /// Convenience file wrappers.

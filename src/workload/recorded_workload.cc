@@ -1,6 +1,7 @@
 #include "workload/recorded_workload.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "storage/catalog_csv.h"
 #include "trace/trace_csv.h"
@@ -34,7 +35,13 @@ Result<std::unique_ptr<RecordedWorkload>> RecordedWorkload::FromRecords(
   if (num_enclosures <= 0) {
     return Status::InvalidArgument("catalog maps to no enclosures");
   }
-  if (duration == 0) duration = last + 1;
+  if (duration == 0) {
+    if (last == std::numeric_limits<SimTime>::max()) {
+      return Status::InvalidArgument(
+          "last trace timestamp leaves no room for a horizon");
+    }
+    duration = last + 1;
+  }
 
   std::unique_ptr<RecordedWorkload> workload(new RecordedWorkload());
   workload->info_.name = std::move(name);

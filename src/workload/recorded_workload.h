@@ -20,7 +20,9 @@ namespace ecostore::workload {
 class RecordedWorkload : public Workload {
  public:
   /// Builds from in-memory parts. `records` must be time-ordered.
-  /// `num_enclosures` 0 derives it from the catalog's volume mapping.
+  /// `num_enclosures` 0 derives it from the catalog's volume mapping;
+  /// `duration` 0 ends the run just after the last record (rejected when
+  /// that record sits at the largest SimTime).
   static Result<std::unique_ptr<RecordedWorkload>> FromRecords(
       std::string name, storage::DataItemCatalog catalog,
       std::vector<trace::LogicalIoRecord> records,

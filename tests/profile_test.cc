@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,13 +16,6 @@
 
 namespace ecostore::telemetry::profile {
 namespace {
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 Span MakeSpan(int64_t start_ns, int64_t dur_ns, Phase phase,
               uint16_t lane = 0, uint32_t seq = 0, int64_t detail = 0) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/units.h"
@@ -97,6 +98,13 @@ TEST(RecordedWorkloadTest, RejectsOutOfOrderAndUnknownItems) {
 
   records = SampleRecords();
   records[2].item = 99;
+  EXPECT_FALSE(
+      RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+
+  // With no explicit duration the horizon is the last time + 1, which
+  // does not exist when the last record sits at the largest SimTime.
+  records = SampleRecords();
+  records.back().time = std::numeric_limits<SimTime>::max();
   EXPECT_FALSE(
       RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
 }

@@ -20,15 +20,16 @@
 #include "bench/legacy_ledger.h"
 #include "bench/telemetry_capture.h"
 #include "core/eco_storage_policy.h"
-#include "policies/basic_policies.h"
 #include "replay/experiment.h"
 #include "replay/sharded_experiment.h"
 #include "telemetry/analysis/energy_ledger.h"
 #include "telemetry/analysis/incremental_ledger.h"
 #include "telemetry/analysis/rolling_summary.h"
+#include "telemetry/analysis/summary.h"
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
 #include "telemetry/stream_consumer.h"
+#include "tests/instrumented_run.h"
 #include "tests/test_util.h"
 #include "workload/file_server_workload.h"
 
@@ -109,49 +110,6 @@ void ExpectSameLedger(const EnergyLedger& live, const EnergyLedger& batch,
   EXPECT_EQ(live.write_delay_flush_bytes, batch.write_delay_flush_bytes);
 }
 
-// --- instrumented runs ----------------------------------------------------
-
-struct CapturedRun {
-  ExportMeta meta;
-  std::vector<Event> events;
-  replay::ExperimentMetrics metrics;
-};
-
-CapturedRun RunInstrumentedSerial(uint64_t seed, bool eco,
-                                  SimDuration duration) {
-  CapturedRun out;
-  workload::FileServerConfig wl;
-  wl.duration = duration;
-  wl.seed = seed;
-  auto workload = workload::FileServerWorkload::Create(wl);
-  EXPECT_TRUE(workload.ok());
-  std::unique_ptr<policies::StoragePolicy> policy;
-  if (eco) {
-    policy = std::make_unique<core::EcoStoragePolicy>(
-        core::PowerManagementConfig{});
-  } else {
-    policy = std::make_unique<policies::NoPowerSavingPolicy>();
-  }
-  Recorder::Options options;
-  options.thread_buffer_capacity = 1u << 20;
-  options.mask = kClassAll;
-  Recorder recorder(options);
-  LatencyBook book;
-  replay::ExperimentConfig config;
-  config.telemetry = &recorder;
-  config.latency_book = &book;
-  replay::Experiment experiment(workload.value().get(), policy.get(),
-                                config);
-  auto metrics = experiment.Run();
-  EXPECT_TRUE(metrics.ok());
-  EXPECT_EQ(recorder.dropped(), 0u);
-  out.metrics = metrics.value();
-  out.meta = bench::BuildCaptureMeta(metrics.value(), *experiment.system(),
-                                     &book);
-  out.events = recorder.Drain();
-  return out;
-}
-
 // Replays the capture into an IncrementalEnergyLedger, pausing at every
 // multiple of `window` to compare Snapshot() — and BuildLedger over the
 // same exclusive prefix — against the batch oracle; then finishes and
@@ -178,12 +136,7 @@ void CheckIncrementalMatchesBatch(const CapturedRun& run,
   }
   EXPECT_GT(boundaries, 0);
   while (i < run.events.size()) inc.Consume(run.events[i++]);
-  StreamFinal fin;
-  fin.at = run.meta.duration;
-  fin.enclosure_energy_j = run.metrics.enclosure_energy;
-  fin.controller_energy_j = run.metrics.controller_energy;
-  fin.has_energy = true;
-  inc.Finish(fin);
+  inc.Finish(run.Final());
   EXPECT_TRUE(inc.finished());
   const EnergyLedger oracle = legacy::BuildLedger(run.meta, run.events);
   ExpectSameLedger(inc.Snapshot(), oracle,
@@ -199,8 +152,7 @@ TEST(IncrementalLedgerTest, MatchesBatchAtEveryBoundarySerialRandomized) {
   // aligned with the policy's 520 s monitoring period.
   for (uint64_t seed : {42ull, 20260809ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    CapturedRun run = RunInstrumentedSerial(seed, /*eco=*/true,
-                                            20 * kMinute);
+    CapturedRun run = RunInstrumented(seed, /*eco=*/true, 20 * kMinute);
     EXPECT_GT(BuildLedger(run.meta, run.events).off_windows.size(), 0u);
     for (SimDuration window :
          {47 * kSecond, 3 * kMinute + 1, 311 * kSecond}) {
@@ -212,8 +164,7 @@ TEST(IncrementalLedgerTest, MatchesBatchAtEveryBoundarySerialRandomized) {
 TEST(IncrementalLedgerTest, MatchesBatchWithoutPowerSavingPolicy) {
   if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   // Degenerate coverage: no off windows, stream tallies only.
-  CapturedRun run = RunInstrumentedSerial(7ull, /*eco=*/false,
-                                          10 * kMinute);
+  CapturedRun run = RunInstrumented(7ull, /*eco=*/false, 10 * kMinute);
   CheckIncrementalMatchesBatch(run, kMinute);
 }
 
@@ -359,20 +310,14 @@ TEST(IncrementalLedgerTest, HostileCaptureMatchesBatch) {
 
 TEST(RollingSummaryTest, WindowsTileTheRunAndTelescopeToTheTotal) {
   if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  CapturedRun run = RunInstrumentedSerial(42ull, /*eco=*/true,
-                                          20 * kMinute);
+  CapturedRun run = RunInstrumented();
   const SimDuration window = 130 * kSecond;  // not a divisor of 1200 s
   RollingSummary::Options ropt;
   ropt.window_us = window;
   ropt.retention = static_cast<size_t>(-1);
   RollingSummary rolling(run.meta, ropt);
   for (const Event& e : run.events) rolling.OnEvent(e);
-  StreamFinal fin;
-  fin.at = run.meta.duration;
-  fin.enclosure_energy_j = run.metrics.enclosure_energy;
-  fin.controller_energy_j = run.metrics.controller_energy;
-  fin.has_energy = true;
-  rolling.OnFinish(fin);
+  rolling.OnFinish(run.Final());
 
   const auto& windows = rolling.windows();
   ASSERT_GT(windows.size(), 1u);
@@ -445,23 +390,46 @@ TEST(RollingSummaryTest, WindowsTileTheRunAndTelescopeToTheTotal) {
 
 TEST(RollingSummaryTest, RetentionBoundsMemoryButNotTheStream) {
   if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  CapturedRun run = RunInstrumentedSerial(42ull, /*eco=*/true,
-                                          20 * kMinute);
+  CapturedRun run = RunInstrumented();
   RollingSummary::Options ropt;
   ropt.window_us = kMinute;
   ropt.retention = 3;
   RollingSummary rolling(run.meta, ropt);
   for (const Event& e : run.events) rolling.OnEvent(e);
-  StreamFinal fin;
-  fin.at = run.meta.duration;
-  fin.enclosure_energy_j = run.metrics.enclosure_energy;
-  fin.controller_energy_j = run.metrics.controller_energy;
-  fin.has_energy = true;
-  rolling.OnFinish(fin);
+  rolling.OnFinish(run.Final());
   EXPECT_EQ(rolling.windows().size(), 3u);  // only the newest retained
   // 20 interior windows plus the (here zero-length) terminal remainder.
   EXPECT_EQ(rolling.windows_closed(), 21);
   EXPECT_TRUE(rolling.windows().back().terminal);
+}
+
+TEST(RollingSummaryTest, FinalLineReadsBackAsTheLedgerSummary) {
+  if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  CapturedRun run = RunInstrumented();
+  const std::string path = TempPath("rolling_final.jsonl");
+  std::FILE* jsonl = std::fopen(path.c_str(), "w");
+  ASSERT_NE(jsonl, nullptr);
+  RollingSummary::Options ropt;
+  ropt.jsonl = jsonl;
+  RollingSummary rolling(run.meta, ropt);
+  for (const Event& e : run.events) rolling.OnEvent(e);
+  rolling.OnFinish(run.Final());
+  std::fclose(jsonl);
+
+  JsonlChunk chunk;
+  ASSERT_TRUE(ReadJsonlChunk(path, 0, &chunk).ok());
+  ASSERT_FALSE(chunk.lines.empty());
+  const std::string& line = chunk.lines.back();
+  ASSERT_NE(line.find("\"type\":\"rolling_final\""), std::string::npos);
+  const Summary live = SummarizeLedger(run.meta, rolling.FinalLedger());
+  EXPECT_GT(live.off_windows, 0);
+  // Every scalar, gated or not, identity included: both render to the
+  // same summary file bytes.
+  const std::string a = TempPath("rolling_final_line.json");
+  const std::string b = TempPath("rolling_final_ledger.json");
+  ASSERT_TRUE(WriteSummaryJson(a, SummaryFromLine(line)).ok());
+  ASSERT_TRUE(WriteSummaryJson(b, live).ok());
+  EXPECT_EQ(ReadFile(a), ReadFile(b));
 }
 
 // --- in-flight capture reader ---------------------------------------------
@@ -511,7 +479,7 @@ TEST(ReadJsonlChunkTest, StripsCarriageReturnsAndHandlesEmptyReads) {
 // file lands — with events identical to a one-shot strict parse.
 TEST(CaptureTailParserTest, ResumesAcrossByteTruncation) {
   if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  CapturedRun run = RunInstrumentedSerial(42ull, /*eco=*/true, 5 * kMinute);
+  CapturedRun run = RunInstrumented(42ull, /*eco=*/true, 5 * kMinute);
   const std::string base = TempPath("tail_capture");
   ASSERT_TRUE(ExportAll(base, run.meta, run.events).ok());
   const std::string path = base + ".jsonl";

@@ -1,8 +1,10 @@
 // Tests for the suite runner (identical-trace methodology), the parallel
-// runner's determinism, and the PaperPolicySet factory.
+// runner's determinism, the PaperPolicySet factory, and the bench
+// binaries' suite flags (--threads, --shards).
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "core/eco_storage_policy.h"
 #include "policies/basic_policies.h"
 #include "replay/suite.h"
@@ -194,6 +196,16 @@ TEST(SuiteTest, RunExperimentsPropagatesWorkloadFactoryError) {
   EXPECT_FALSE(serial.ok());
   auto parallel = RunExperiments(jobs, SuiteOptions{2});
   EXPECT_FALSE(parallel.ok());
+}
+
+TEST(SuiteTest, RepeatedSuiteFlagsTakeTheFirstValue) {
+  char prog[] = "bench", t3[] = "--threads=3", t0[] = "--threads=0",
+       s0[] = "--shards=0", s4[] = "--shards=4";
+  char* argv[] = {prog, t3, s0, t0, s4};
+  EXPECT_EQ(bench::ParseThreadsFlag(5, argv), 3);
+  EXPECT_EQ(bench::ParseShardsFlag(5, argv), 1);  // 0 floored to 1
+  EXPECT_EQ(bench::ParseThreadsFlag(1, argv), 1);  // absent: serial
+  EXPECT_GE(bench::ParseThreadsFlag(2, argv + 2), 1);  // 0: all threads
 }
 
 TEST(SuiteTest, ProposedSleepsTheColdEnclosure) {

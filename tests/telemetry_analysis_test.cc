@@ -11,16 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/telemetry_capture.h"
-#include "core/eco_storage_policy.h"
-#include "replay/experiment.h"
 #include "telemetry/analysis/energy_ledger.h"
 #include "telemetry/analysis/latency_histogram.h"
 #include "telemetry/analysis/summary.h"
 #include "telemetry/export.h"
 #include "telemetry/recorder.h"
+#include "tests/instrumented_run.h"
 #include "tests/test_util.h"
-#include "workload/file_server_workload.h"
 
 namespace ecostore::telemetry::analysis {
 namespace {
@@ -91,43 +88,6 @@ TEST(LatencyBookTest, OutOfRangePatternFallsBackToUnclassified) {
 
 // --- ledger + summary on a real instrumented run --------------------------
 
-struct CapturedRun {
-  ExportMeta meta;
-  std::vector<Event> events;
-  replay::ExperimentMetrics metrics;
-};
-
-// One 20-minute file-server run of the proposed policy with the full
-// class mask and a latency book attached — long enough for two
-// monitoring periods, so spin-downs, preloads and write-delays all fire.
-CapturedRun RunInstrumented() {
-  CapturedRun out;
-  workload::FileServerConfig wl;
-  wl.duration = 20 * kMinute;
-  auto workload = workload::FileServerWorkload::Create(wl);
-  EXPECT_TRUE(workload.ok());
-  core::EcoStoragePolicy policy{core::PowerManagementConfig{}};
-  Recorder::Options options;
-  options.thread_buffer_capacity = 1u << 20;
-  options.mask = kClassAll;
-  Recorder recorder(options);
-  analysis::LatencyBook book;
-  replay::ExperimentConfig config;
-  config.telemetry = &recorder;
-  config.latency_book = &book;
-  replay::Experiment experiment(workload.value().get(), &policy, config);
-  auto metrics = experiment.Run();
-  EXPECT_TRUE(metrics.ok());
-  EXPECT_EQ(recorder.dropped(), 0u);
-  out.metrics = metrics.value();
-  out.meta = bench::BuildCaptureMeta(metrics.value(), *experiment.system(),
-                                     &book);
-  out.events = recorder.Drain();
-  // The book records exactly one latency per logical I/O.
-  EXPECT_EQ(book.total_count(), out.metrics.logical_ios);
-  return out;
-}
-
 TEST(EnergyLedgerTest, ReconcilesWithMeasuredEnergyAndPricesWindows) {
   if (!Recorder::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   CapturedRun run = RunInstrumented();
@@ -197,6 +157,41 @@ TEST(SummaryTest, WriteParseRoundTripAndRegressGate) {
   EXPECT_TRUE(saw_enclosure);
   // ...and pass again once the tolerance covers the drift.
   EXPECT_TRUE(CompareSummaries(summary, drifted, 0.02).empty());
+
+  // The off-window and advisory account and the reconciliation error are
+  // gated like the energies: `regress` and `tail --reconcile` check one
+  // field set.
+  const std::pair<const char*, double Summary::*> ledger_fields[] = {
+      {"energy.off_credit_j", &Summary::off_credit_j},
+      {"energy.off_debit_j", &Summary::off_debit_j},
+      {"energy.advisory_credit_j", &Summary::advisory_credit_j},
+      {"energy.advisory_debit_j", &Summary::advisory_debit_j},
+      {"energy.reconcile_rel_err", &Summary::reconcile_rel_err},
+  };
+  for (const auto& [name, member] : ledger_fields) {
+    drifted = parsed;
+    drifted.*member = drifted.*member * 1.01 + 1.0;
+    diffs = CompareSummaries(summary, drifted, 1e-6);
+    ASSERT_EQ(diffs.size(), 1u) << name;
+    EXPECT_EQ(diffs[0].field, name);
+  }
+}
+
+TEST(SummaryTest, GoldenFilesRoundTripByteForByte) {
+  for (const char* name :
+       {"golden_summary.json", "golden_summary_fleet.json",
+        "golden_summary_tpcc.json", "golden_summary_tpch.json"}) {
+    SCOPED_TRACE(name);
+    const std::string golden =
+        std::string(ECOSTORE_SOURCE_DIR) + "/bench/" + name;
+    Summary parsed;
+    ASSERT_TRUE(ParseSummaryFile(golden, &parsed).ok());
+    EXPECT_GT(parsed.plans, 0);
+    EXPECT_FALSE(parsed.latency.empty());
+    const std::string path = TempPath(name);
+    ASSERT_TRUE(WriteSummaryJson(path, parsed).ok());
+    EXPECT_EQ(ReadFile(path), ReadFile(golden));
+  }
 }
 
 TEST(SummaryTest, CaptureRoundTripPreservesTheSummary) {

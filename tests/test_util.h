@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,14 @@ namespace ecostore {
 inline std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/ecostore_" + std::to_string(::getpid()) +
          "_" + name;
+}
+
+/// The whole content of a file (empty when it cannot be read).
+inline std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 /// Runs `function` over a period captured in `snapshot.application`,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "trace/io_record.h"
@@ -51,6 +52,9 @@ TEST(TraceCsvTest, RoundTrip) {
     rec.tag = i;
     records.push_back(rec);
   }
+  // The widest values a record holds round-trip too.
+  records.back().size = std::numeric_limits<int32_t>::max();
+  records.back().tag = std::numeric_limits<int32_t>::min();
   std::ostringstream out;
   ASSERT_TRUE(WriteLogicalCsv(out, records).ok());
 
@@ -70,14 +74,16 @@ TEST(TraceCsvTest, RoundTrip) {
 }
 
 TEST(TraceCsvTest, RejectsMalformedRows) {
-  std::istringstream too_few("1,2,3\n");
-  EXPECT_FALSE(ReadLogicalCsv(too_few).ok());
-  std::istringstream bad_type("1,2,3,4,X,0,0\n");
-  EXPECT_FALSE(ReadLogicalCsv(bad_type).ok());
-  std::istringstream bad_time("abc,2,3,4,R,0,0\n");
-  EXPECT_FALSE(ReadLogicalCsv(bad_time).ok());
-  std::istringstream bad_seq("1,2,3,4,R,7,0\n");
-  EXPECT_FALSE(ReadLogicalCsv(bad_seq).ok());
+  // Malformed rows, then values the record cannot hold: size outside
+  // [1, INT32_MAX], offset < 0, tag or item outside int32.
+  for (const char* row :
+       {"1,2,3\n", "1,2,3,4,X,0,0\n", "abc,2,3,4,R,0,0\n", "1,2,3,4,R,7,0\n",
+        "1,2,3,0,R,0,0\n", "1,2,3,-4,R,0,0\n", "1,2,3,2147483648,R,0,0\n",
+        "1,2,-3,4,R,0,0\n", "1,2,3,4,R,0,2147483648\n",
+        "1,2,3,4,R,0,-2147483649\n", "1,4294967298,3,4,R,0,0\n"}) {
+    std::istringstream in(row);
+    EXPECT_FALSE(ReadLogicalCsv(in).ok()) << row;
+  }
 }
 
 TEST(TraceCsvTest, EmptyInputIsEmptyTrace) {

@@ -22,13 +22,13 @@
 #include <array>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,20 +43,6 @@
 
 namespace ecostore::telemetry {
 namespace {
-
-const char* PatternName(uint8_t pattern) {
-  switch (pattern) {
-    case 0:
-      return "P0";
-    case 1:
-      return "P1";
-    case 2:
-      return "P2";
-    case 3:
-      return "P3";
-  }
-  return "P?";
-}
 
 std::string FormatSimTime(SimTime t) {
   char buf[64];
@@ -143,7 +129,7 @@ int RunAudit(const std::string& path) {
       std::printf(
           "  item %d: %s, %d long intervals, %d%% reads, %d sequences, "
           "%" PRId64 " ios -> %s\n",
-          d.item, PatternName(d.pattern), d.long_intervals,
+          d.item, analysis::PatternSlotName(d.pattern), d.long_intervals,
           (d.read_permille + 5) / 10, d.io_sequences, d.total_ios,
           DescribeActions(d).c_str());
     }
@@ -299,6 +285,19 @@ int RunDiff(const std::string& path_a, const std::string& path_b) {
 
 // --- score ----------------------------------------------------------------
 
+/// `score --summary=<path>`: writes the run's summary file when `path` is
+/// set. Returns the command's exit code.
+int WriteSummary(const std::string& path, const analysis::Summary& summary) {
+  if (path.empty()) return 0;
+  Status st = analysis::WriteSummaryJson(path, summary);
+  if (!st.ok()) {
+    std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  std::printf("\nsummary -> %s\n", path.c_str());
+  return 0;
+}
+
 int RunScore(const std::string& path, const std::string& summary_out) {
   ExportMeta meta;
   std::vector<Event> events;
@@ -334,9 +333,9 @@ int RunScore(const std::string& path, const std::string& summary_out) {
         std::printf("       culprit: plan %d classified item %d as %s "
                     "(%d long intervals, %d%% reads, %d sequences, "
                     "%" PRId64 " ios) -> %s\n",
-                    d.plan, d.item, PatternName(d.pattern), d.long_intervals,
-                    (d.read_permille + 5) / 10, d.io_sequences, d.total_ios,
-                    DescribeActions(d).c_str());
+                    d.plan, d.item, analysis::PatternSlotName(d.pattern),
+                    d.long_intervals, (d.read_permille + 5) / 10,
+                    d.io_sequences, d.total_ios, DescribeActions(d).c_str());
       }
     }
     std::printf("\n  off windows: %" PRId64 "  dwell %.1fs  "
@@ -432,22 +431,21 @@ int RunScore(const std::string& path, const std::string& summary_out) {
     }
   }
 
-  if (!summary_out.empty()) {
-    Status st = analysis::WriteSummaryJson(summary_out, summary);
-    if (!st.ok()) {
-      std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nsummary -> %s\n", summary_out.c_str());
+  return WriteSummary(summary_out, summary);
+}
+
+/// Prints the fields CompareSummaries flagged, value columns headed `a`
+/// and `b`.
+void PrintDiffs(const std::vector<analysis::SummaryDiff>& diffs,
+                const char* a, const char* b) {
+  std::printf("  %-36s %16s %16s %12s\n", "field", a, b, "rel err");
+  for (const analysis::SummaryDiff& d : diffs) {
+    std::printf("  %-36s %16.6g %16.6g %12.3g\n", d.field.c_str(), d.a, d.b,
+                d.rel_err);
   }
-  return 0;
 }
 
 // --- rolling windows (score --window / tail) ------------------------------
-
-void PrintRollingHeader(SimDuration window_us) {
-  std::printf("\nrolling windows (%.0fs)\n", ToSeconds(window_us));
-}
 
 void PrintRollingWindow(const char* prefix, int64_t index, SimTime start,
                         SimTime end, bool terminal, double credit_j,
@@ -465,87 +463,13 @@ void PrintRollingWindow(const char* prefix, int64_t index, SimTime start,
               static_cast<long long>(cum_mispredicts));
 }
 
-/// The final cumulative account of a streamed run — built either from a
-/// rolling_final JSONL line or from the live consumer's final ledger —
-/// reconciled against a golden summary by `tail --reconcile=`.
-struct FinalAccount {
-  int64_t windows = 0;
-  double enclosure_energy_j = 0.0;
-  double controller_energy_j = 0.0;
-  double total_energy_j = 0.0;
-  double off_credit_j = 0.0;
-  double off_debit_j = 0.0;
-  double net_saving_j = 0.0;
-  double mispredict_loss_j = 0.0;
-  double advisory_credit_j = 0.0;
-  double advisory_debit_j = 0.0;
-  int64_t plans = 0;
-  int64_t decisions = 0;
-  int64_t off_windows = 0;
-  int64_t mispredicts = 0;
-  int64_t migrations = 0;
-  int64_t preloads = 0;
-  int64_t write_delays = 0;
-  bool has_finals = false;
-  double reconcile_rel_err = 0.0;
-};
-
-FinalAccount AccountFromRollingFinal(const FlatJson& json) {
-  FinalAccount a;
-  a.windows = json.Int("windows");
-  a.enclosure_energy_j = json.Dbl("enclosure_energy_j");
-  a.controller_energy_j = json.Dbl("controller_energy_j");
-  a.total_energy_j = json.Dbl("total_energy_j");
-  a.off_credit_j = json.Dbl("off_credit_j");
-  a.off_debit_j = json.Dbl("off_debit_j");
-  a.net_saving_j = json.Dbl("net_saving_j");
-  a.mispredict_loss_j = json.Dbl("mispredict_loss_j");
-  a.advisory_credit_j = json.Dbl("advisory_credit_j");
-  a.advisory_debit_j = json.Dbl("advisory_debit_j");
-  a.plans = json.Int("plans");
-  a.decisions = json.Int("decisions");
-  a.off_windows = json.Int("off_windows");
-  a.mispredicts = json.Int("mispredicts");
-  a.migrations = json.Int("migrations");
-  a.preloads = json.Int("preloads");
-  a.write_delays = json.Int("write_delays");
-  a.has_finals = json.Int("has_finals") != 0;
-  a.reconcile_rel_err = json.Dbl("reconcile_rel_err");
-  return a;
-}
-
-FinalAccount AccountFromLedger(const analysis::EnergyLedger& ledger,
-                               const ExportMeta& meta, int64_t windows) {
-  FinalAccount a;
-  a.windows = windows;
-  a.enclosure_energy_j = meta.enclosure_energy_j;
-  a.controller_energy_j = meta.controller_energy_j;
-  a.total_energy_j = meta.enclosure_energy_j + meta.controller_energy_j;
-  a.off_credit_j = ledger.off_credit_j;
-  a.off_debit_j = ledger.off_debit_j;
-  a.net_saving_j = ledger.off_credit_j - ledger.off_debit_j;
-  a.mispredict_loss_j = ledger.mispredict_loss_j;
-  a.advisory_credit_j = ledger.advisory_credit_j;
-  a.advisory_debit_j = ledger.advisory_debit_j;
-  a.plans = ledger.plans;
-  a.decisions = ledger.decisions;
-  a.off_windows = static_cast<int64_t>(ledger.off_windows.size());
-  a.mispredicts = ledger.mispredicts;
-  a.migrations = ledger.migrations;
-  a.preloads = ledger.preloads;
-  a.write_delays = ledger.write_delays;
-  a.has_finals = ledger.has_finals;
-  a.reconcile_rel_err = ledger.reconcile_rel_err;
-  return a;
-}
-
-void PrintFinalAccount(const FinalAccount& a) {
+void PrintFinalAccount(const analysis::Summary& a, int64_t windows) {
   std::printf("\nfinal: %" PRId64 " windows  net saving %.1f J "
               "(credit %.1f debit %.1f)  mispredicts %" PRId64
               " (loss %.1f J)\n",
-              a.windows, a.net_saving_j, a.off_credit_j, a.off_debit_j,
+              windows, a.net_saving_j, a.off_credit_j, a.off_debit_j,
               a.mispredicts, a.mispredict_loss_j);
-  if (a.has_finals) {
+  if (a.has_ledger) {
     std::printf("       measured %.1f + %.1f J, ledger reconcile rel err "
                 "%.3g\n",
                 a.enclosure_energy_j, a.controller_energy_j,
@@ -553,99 +477,15 @@ void PrintFinalAccount(const FinalAccount& a) {
   }
 }
 
-/// CI gate: the streamed final account must agree with the golden batch
-/// summary. Same floored-relative rule as CompareSummaries.
-int ReconcileAccount(const FinalAccount& a, const std::string& golden_path,
-                     double tolerance) {
-  analysis::Summary golden;
-  Status st = analysis::ParseSummaryFile(golden_path, &golden);
-  if (!st.ok()) {
-    std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  struct Row {
-    const char* field;
-    double live;
-    double golden;
-  };
-  const Row rows[] = {
-      {"energy.enclosure_j", a.enclosure_energy_j, golden.enclosure_energy_j},
-      {"energy.controller_j", a.controller_energy_j,
-       golden.controller_energy_j},
-      {"energy.total_j", a.total_energy_j, golden.total_energy_j},
-      {"energy.off_credit_j", a.off_credit_j, golden.off_credit_j},
-      {"energy.off_debit_j", a.off_debit_j, golden.off_debit_j},
-      {"energy.net_saving_j", a.net_saving_j, golden.net_saving_j},
-      {"energy.mispredict_loss_j", a.mispredict_loss_j,
-       golden.mispredict_loss_j},
-      {"energy.advisory_credit_j", a.advisory_credit_j,
-       golden.advisory_credit_j},
-      {"energy.advisory_debit_j", a.advisory_debit_j,
-       golden.advisory_debit_j},
-      {"energy.reconcile_rel_err", a.reconcile_rel_err,
-       golden.reconcile_rel_err},
-      {"plans.plans", static_cast<double>(a.plans),
-       static_cast<double>(golden.plans)},
-      {"plans.decisions", static_cast<double>(a.decisions),
-       static_cast<double>(golden.decisions)},
-      {"plans.off_windows", static_cast<double>(a.off_windows),
-       static_cast<double>(golden.off_windows)},
-      {"plans.mispredicts", static_cast<double>(a.mispredicts),
-       static_cast<double>(golden.mispredicts)},
-      {"plans.migrations", static_cast<double>(a.migrations),
-       static_cast<double>(golden.migrations)},
-      {"plans.preloads", static_cast<double>(a.preloads),
-       static_cast<double>(golden.preloads)},
-      {"plans.write_delays", static_cast<double>(a.write_delays),
-       static_cast<double>(golden.write_delays)},
-  };
-  size_t failures = 0;
-  for (const Row& r : rows) {
-    const double denom =
-        std::max({std::fabs(r.live), std::fabs(r.golden), 1.0});
-    const double rel = std::fabs(r.live - r.golden) / denom;
-    if (rel > tolerance) {
-      if (failures == 0) {
-        std::printf("\nreconcile vs %s (tolerance %g)\n", golden_path.c_str(),
-                    tolerance);
-        std::printf("  %-28s %16s %16s %12s\n", "field", "live", "golden",
-                    "rel err");
-      }
-      failures++;
-      std::printf("  %-28s %16.6g %16.6g %12.3g\n", r.field, r.live,
-                  r.golden, rel);
-    }
-  }
-  if (failures > 0) {
-    std::printf("RECONCILE FAIL: %zu field(s) differ beyond tolerance\n",
-                failures);
-    return 1;
-  }
-  std::printf("RECONCILE PASS: live rolling account matches %s\n",
-              golden_path.c_str());
-  return 0;
-}
-
-/// Runs the capture through the engines' RollingSummary consumer: parse,
-/// feed in drained order, finish with the measured energies from the
-/// meta line. Returns the consumer for rendering.
-std::unique_ptr<analysis::RollingSummary> RollCapture(
-    const ExportMeta& meta, const std::vector<Event>& events,
-    SimDuration window_us, std::FILE* progress, const char* prefix) {
-  analysis::RollingSummary::Options opt;
-  opt.window_us = window_us;
-  opt.retention = static_cast<size_t>(-1);
-  opt.progress = progress;
-  opt.progress_prefix = prefix;
-  auto rolling = std::make_unique<analysis::RollingSummary>(meta, opt);
-  for (const Event& e : events) rolling->OnEvent(e);
+/// The run-end record a complete capture implies: its horizon and the
+/// measured energies its meta line carries.
+StreamFinal FinalFromMeta(const ExportMeta& meta) {
   StreamFinal fin;
   fin.at = meta.duration;
   fin.enclosure_energy_j = meta.enclosure_energy_j;
   fin.controller_energy_j = meta.controller_energy_j;
   fin.has_energy = meta.has_power_model;
-  rolling->OnFinish(fin);
-  return rolling;
+  return fin;
 }
 
 int RunScoreWindows(const std::string& path, SimDuration window_us,
@@ -659,10 +499,16 @@ int RunScoreWindows(const std::string& path, SimDuration window_us,
                 "re-capture with a current build)\n");
     return 1;
   }
-  std::unique_ptr<analysis::RollingSummary> rolling =
-      RollCapture(meta, events, window_us, nullptr, "");
-  PrintRollingHeader(window_us);
-  for (const analysis::RollingWindow& w : rolling->windows()) {
+  // The engines' RollingSummary consumer, fed the capture in drained
+  // order and finished with the measured energies from the meta line.
+  analysis::RollingSummary::Options opt;
+  opt.window_us = window_us;
+  opt.retention = static_cast<size_t>(-1);
+  analysis::RollingSummary rolling(meta, opt);
+  for (const Event& e : events) rolling.OnEvent(e);
+  rolling.OnFinish(FinalFromMeta(meta));
+  std::printf("\nrolling windows (%.0fs)\n", ToSeconds(window_us));
+  for (const analysis::RollingWindow& w : rolling.windows()) {
     PrintRollingWindow("", w.index, w.start, w.end, w.terminal, w.credit_j,
                        w.debit_j, w.off_windows, w.mispredicts,
                        w.cum_credit_j - w.cum_debit_j, w.cum_mispredicts);
@@ -675,19 +521,9 @@ int RunScoreWindows(const std::string& path, SimDuration window_us,
                   f.wake_item != kInvalidDataItem ? " (item)" : "");
     }
   }
-  FinalAccount account = AccountFromLedger(rolling->FinalLedger(), meta,
-                                           rolling->windows_closed());
-  PrintFinalAccount(account);
-  if (!summary_out.empty()) {
-    analysis::Summary summary = analysis::BuildSummary(meta, events);
-    Status st = analysis::WriteSummaryJson(summary_out, summary);
-    if (!st.ok()) {
-      std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nsummary -> %s\n", summary_out.c_str());
-  }
-  return 0;
+  PrintFinalAccount(analysis::SummarizeLedger(meta, rolling.FinalLedger()),
+                    rolling.windows_closed());
+  return WriteSummary(summary_out, analysis::BuildSummary(meta, events));
 }
 
 // --- tail -----------------------------------------------------------------
@@ -706,7 +542,8 @@ int RunTail(const std::string& path, const TailOptions& opt) {
   int64_t offset = 0;
   CaptureTailParser parser;  // capture mode
   std::unique_ptr<analysis::RollingSummary> rolling;  // capture mode
-  FinalAccount account;
+  analysis::Summary account;  // the final account, once seen
+  int64_t windows = 0;
   bool saw_final = false;
 
   while (true) {
@@ -749,7 +586,8 @@ int RunTail(const std::string& path, const TailOptions& opt) {
                              json.Int("mispredicts"), json.Dbl("cum_net_j"),
                              json.Int("cum_mispredicts"));
         } else if (type == "rolling_final") {
-          account = AccountFromRollingFinal(json);
+          account = analysis::SummaryFromLine(line);
+          windows = json.Int("windows");
           saw_final = true;
         }
         // Unknown types are skipped (format growth).
@@ -781,15 +619,10 @@ int RunTail(const std::string& path, const TailOptions& opt) {
         !saw_final) {
       // Every declared event has arrived: the writer is done; finish with
       // the measured energies the meta line carries.
-      const ExportMeta& meta = parser.meta();
-      StreamFinal fin;
-      fin.at = meta.duration;
-      fin.enclosure_energy_j = meta.enclosure_energy_j;
-      fin.controller_energy_j = meta.controller_energy_j;
-      fin.has_energy = meta.has_power_model;
-      rolling->OnFinish(fin);
-      account = AccountFromLedger(rolling->FinalLedger(), meta,
-                                  rolling->windows_closed());
+      rolling->OnFinish(FinalFromMeta(parser.meta()));
+      account = analysis::SummarizeLedger(parser.meta(),
+                                          rolling->FinalLedger());
+      windows = rolling->windows_closed();
       saw_final = true;
     }
     if (saw_final || opt.once) break;
@@ -798,7 +631,7 @@ int RunTail(const std::string& path, const TailOptions& opt) {
   }
 
   if (saw_final) {
-    PrintFinalAccount(account);
+    PrintFinalAccount(account, windows);
   } else {
     std::printf("(no final record yet — capture still in flight, resume "
                 "offset %lld)\n",
@@ -811,7 +644,29 @@ int RunTail(const std::string& path, const TailOptions& opt) {
                    path.c_str());
       return 1;
     }
-    return ReconcileAccount(account, opt.reconcile, opt.tolerance);
+    // The CI gate: the streamed final account must agree with the golden
+    // batch summary. The live account carries no latency rows, so the
+    // golden's are set aside.
+    analysis::Summary golden;
+    Status st = analysis::ParseSummaryFile(opt.reconcile, &golden);
+    if (!st.ok()) {
+      std::fprintf(stderr, "eco_report: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    golden.latency.clear();
+    std::vector<analysis::SummaryDiff> diffs =
+        analysis::CompareSummaries(account, golden, opt.tolerance);
+    if (diffs.empty()) {
+      std::printf("RECONCILE PASS: live rolling account matches %s\n",
+                  opt.reconcile.c_str());
+      return 0;
+    }
+    std::printf("\nreconcile vs %s (tolerance %g)\n", opt.reconcile.c_str(),
+                opt.tolerance);
+    PrintDiffs(diffs, "live", "golden");
+    std::printf("RECONCILE FAIL: %zu field(s) differ beyond tolerance\n",
+                diffs.size());
+    return 1;
   }
   return 0;
 }
@@ -870,11 +725,7 @@ int RunRegress(const std::string& path_a, const std::string& path_b,
   }
   std::printf("REGRESSION: %zu field(s) differ beyond tolerance\n",
               diffs.size());
-  std::printf("  %-36s %16s %16s %12s\n", "field", "A", "B", "rel err");
-  for (const analysis::SummaryDiff& d : diffs) {
-    std::printf("  %-36s %16.6g %16.6g %12.3g\n", d.field.c_str(), d.a, d.b,
-                d.rel_err);
-  }
+  PrintDiffs(diffs, "A", "B");
   return 1;
 }
 
@@ -1071,6 +922,21 @@ int Usage() {
   return 2;
 }
 
+/// The text after `prefix` in the first argument from argv[first] on
+/// that starts with it; null when none does.
+const char* FlagValue(int argc, char** argv, int first, const char* prefix) {
+  const size_t n = std::strlen(prefix);
+  for (int i = first; i < argc; ++i) {
+    if (std::strncmp(argv[i], prefix, n) == 0) return argv[i] + n;
+  }
+  return nullptr;
+}
+
+SimDuration Seconds(const char* value) {
+  return static_cast<SimDuration>(std::strtod(value, nullptr) *
+                                  static_cast<double>(kSecond));
+}
+
 int Main(int argc, char** argv) {
   if (argc < 3) return Usage();
   std::string command = argv[1];
@@ -1082,60 +948,38 @@ int Main(int argc, char** argv) {
     return RunDiff(argv[2], argv[3]);
   }
   if (command == "score") {
-    std::string summary_out;
-    SimDuration window_us = 0;
-    for (int i = 3; i < argc; ++i) {
-      std::string arg(argv[i]);
-      const std::string prefix = "--summary=";
-      const std::string window = "--window=";
-      if (arg.rfind(prefix, 0) == 0) summary_out = arg.substr(prefix.size());
-      if (arg.rfind(window, 0) == 0) {
-        window_us = static_cast<SimDuration>(
-            std::strtod(arg.c_str() + window.size(), nullptr) *
-            static_cast<double>(kSecond));
-      }
-    }
+    const char* summary = FlagValue(argc, argv, 3, "--summary=");
+    const char* window = FlagValue(argc, argv, 3, "--window=");
+    const std::string summary_out = summary != nullptr ? summary : "";
+    const SimDuration window_us = window != nullptr ? Seconds(window) : 0;
     if (window_us > 0) return RunScoreWindows(argv[2], window_us, summary_out);
     return RunScore(argv[2], summary_out);
   }
   if (command == "tail") {
     TailOptions opt;
-    for (int i = 3; i < argc; ++i) {
-      std::string arg(argv[i]);
-      const std::string interval = "--interval=";
-      const std::string window = "--window=";
-      const std::string reconcile = "--reconcile=";
-      const std::string tolerance = "--tolerance=";
-      if (arg == "--once") opt.once = true;
-      if (arg.rfind(interval, 0) == 0) {
-        opt.interval_s = std::strtod(arg.c_str() + interval.size(), nullptr);
-      }
-      if (arg.rfind(window, 0) == 0) {
-        opt.window_us = static_cast<SimDuration>(
-            std::strtod(arg.c_str() + window.size(), nullptr) *
-            static_cast<double>(kSecond));
-        if (opt.window_us <= 0) opt.window_us = kMinute;
-      }
-      if (arg.rfind(reconcile, 0) == 0) {
-        opt.reconcile = arg.substr(reconcile.size());
-      }
-      if (arg.rfind(tolerance, 0) == 0) {
-        opt.tolerance = std::strtod(arg.c_str() + tolerance.size(), nullptr);
-      }
+    opt.once = std::find(argv + 3, argv + argc, std::string_view("--once")) !=
+               argv + argc;
+    if (const char* v = FlagValue(argc, argv, 3, "--interval=")) {
+      opt.interval_s = std::strtod(v, nullptr);
+    }
+    if (const char* v = FlagValue(argc, argv, 3, "--window=")) {
+      opt.window_us = Seconds(v);
+      if (opt.window_us <= 0) opt.window_us = kMinute;
+    }
+    if (const char* v = FlagValue(argc, argv, 3, "--reconcile=")) {
+      opt.reconcile = v;
+    }
+    if (const char* v = FlagValue(argc, argv, 3, "--tolerance=")) {
+      opt.tolerance = std::strtod(v, nullptr);
     }
     return RunTail(argv[2], opt);
   }
   if (command == "regress") {
     if (argc < 4) return Usage();
-    double tolerance = 1e-6;
-    for (int i = 4; i < argc; ++i) {
-      std::string arg(argv[i]);
-      const std::string prefix = "--tolerance=";
-      if (arg.rfind(prefix, 0) == 0) {
-        tolerance = std::strtod(arg.c_str() + prefix.size(), nullptr);
-      }
-    }
-    return RunRegress(argv[2], argv[3], tolerance);
+    const char* tolerance = FlagValue(argc, argv, 4, "--tolerance=");
+    return RunRegress(argv[2], argv[3],
+                      tolerance != nullptr ? std::strtod(tolerance, nullptr)
+                                           : 1e-6);
   }
   return Usage();
 }
