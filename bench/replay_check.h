@@ -4,7 +4,8 @@
 // Bit-identical replay regression gate for the per-I/O hot path.
 //
 // `bench_micro --record` replays a shortened version of every
-// (workload, policy) pair of the bench_sweep grid and writes one 64-bit
+// (workload, policy) pair of the bench_sweep grid, plus PDC and DDR on
+// the default file-server row, and writes one 64-bit
 // fingerprint of each run's ExperimentMetrics to bench/golden_replay.txt.
 // `bench_micro --check` (registered as the `bench_replay_check` ctest)
 // re-runs the grid and fails on any fingerprint mismatch, so a change
@@ -34,6 +35,8 @@
 #include <vector>
 
 #include "bench/sweep_config.h"
+#include "policies/ddr_policy.h"
+#include "policies/pdc_policy.h"
 #include "replay/metrics.h"
 #include "replay/suite.h"
 #include "telemetry/analysis/latency_histogram.h"
@@ -194,11 +197,12 @@ inline void DumpMetrics(const std::string& label,
 
 /// Sim duration of each check run: long enough for two EcoStoragePolicy
 /// monitoring periods (520 s each) plus spin-down/preload activity,
-/// short enough that the whole 26-run grid stays ctest-friendly.
+/// short enough that the whole 32-run suite stays ctest-friendly.
 inline constexpr SimDuration kReplayCheckDuration = 20 * kMinute;
 
-/// Replays the full bench_sweep grid at the check duration and returns
-/// one fingerprint per (row, policy) pair, in sweep print order.
+/// Replays the full bench_sweep grid at the check duration, then PDC and
+/// DDR on the default file-server row, and returns one fingerprint per
+/// run, in that order.
 /// `shards` > 1 replays every run on the sharded engine (its own golden
 /// file: sharded FP reductions re-associate, so shards=S fingerprints
 /// are self-consistent but not comparable to the serial goldens).
@@ -209,6 +213,25 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite(
   std::vector<SweepSection> sections = SweepSections(wl);
   std::vector<replay::ExperimentJob> jobs = SweepJobs(sections);
   std::vector<std::string> labels = SweepJobLabels(sections);
+  // The two baselines that read the monitors, on the default file-server
+  // row, after the sweep grid: PDC reads the application monitor's
+  // per-period trace, DDR the storage monitor's per-enclosure counters.
+  for (replay::PolicyFactory policy :
+       {replay::PolicyFactory([] {
+          return std::make_unique<policies::PdcPolicy>(
+              policies::PdcPolicy::Options{});
+        }),
+        replay::PolicyFactory([] {
+          return std::make_unique<policies::DdrPolicy>(
+              policies::DdrPolicy::Options{});
+        })}) {
+    replay::ExperimentJob job;
+    job.workload = replay::FactoryFor<workload::FileServerWorkload>(wl);
+    job.policy = std::move(policy);
+    jobs.push_back(std::move(job));
+  }
+  labels.push_back("default file server / pdc");
+  labels.push_back("default file server / ddr");
 
   // Every gate job runs with a telemetry recorder attached (full class
   // mask) AND a latency book, so passing the gate proves an instrumented
