@@ -1,13 +1,14 @@
 #ifndef ECOSTORE_MONITOR_STORAGE_MONITOR_H_
 #define ECOSTORE_MONITOR_STORAGE_MONITOR_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/sim_time.h"
 #include "common/types.h"
 #include "storage/storage_system.h"
 #include "trace/io_record.h"
-#include "trace/trace_buffer.h"
 
 namespace ecostore::monitor {
 
@@ -19,16 +20,20 @@ struct PowerEvent {
   storage::PowerState state = storage::PowerState::kOn;
 };
 
-/// \brief The Storage Monitor (paper §III-B): captures physical I/O
-/// traces, power status events and per-enclosure counters below the
-/// block-virtualization layer.
+/// \brief The Storage Monitor (paper §III-B): watches physical I/O and
+/// power status below the block-virtualization layer.
+///
+/// Physical I/O is counted per enclosure, not traced: the only consumer
+/// (DDR's window IOPS) needs counts, and on a write-dominant fleet a
+/// per-period record trace would hold about one record per logical I/O.
 class StorageMonitor : public storage::StorageObserver {
  public:
   explicit StorageMonitor(int num_enclosures)
-      : power_on_counts_(static_cast<size_t>(num_enclosures), 0) {}
+      : physical_ios_(static_cast<size_t>(num_enclosures), 0),
+        power_on_counts_(static_cast<size_t>(num_enclosures), 0) {}
 
   void OnPhysicalIo(const trace::PhysicalIoRecord& rec) override {
-    buffer_.Append(rec);
+    physical_ios_[static_cast<size_t>(rec.enclosure)]++;
   }
 
   void OnPowerStateChange(EnclosureId enclosure, SimTime at,
@@ -39,7 +44,12 @@ class StorageMonitor : public storage::StorageObserver {
     }
   }
 
-  const trace::PhysicalTraceBuffer& buffer() const { return buffer_; }
+  /// Physical I/O batches submitted to an enclosure within the current
+  /// period.
+  int64_t physical_ios(EnclosureId enclosure) const {
+    return physical_ios_.at(static_cast<size_t>(enclosure));
+  }
+
   const std::vector<PowerEvent>& power_events() const {
     return power_events_;
   }
@@ -53,14 +63,14 @@ class StorageMonitor : public storage::StorageObserver {
   SimTime period_start() const { return period_start_; }
 
   void ResetPeriod(SimTime now) {
-    buffer_.Clear();
+    std::fill(physical_ios_.begin(), physical_ios_.end(), 0);
     power_events_.clear();
     std::fill(power_on_counts_.begin(), power_on_counts_.end(), 0);
     period_start_ = now;
   }
 
  private:
-  trace::PhysicalTraceBuffer buffer_;
+  std::vector<int64_t> physical_ios_;
   std::vector<PowerEvent> power_events_;
   std::vector<int64_t> power_on_counts_;
   SimTime period_start_ = 0;

@@ -46,18 +46,12 @@ SimDuration DdrPolicy::OnPeriodEnd(const monitor::MonitorSnapshot& snapshot,
                                    const storage::StorageSystem& system,
                                    PolicyActuator* actuator) {
   auto n = static_cast<size_t>(system.num_enclosures());
-  std::vector<int64_t> counts(n, 0);
-  for (const trace::PhysicalIoRecord& rec :
-       snapshot.storage->buffer().records()) {
-    if (rec.enclosure >= 0 && static_cast<size_t>(rec.enclosure) < n) {
-      counts[static_cast<size_t>(rec.enclosure)]++;
-    }
-  }
   double seconds = ToSeconds(snapshot.period_length());
   if (seconds <= 0) seconds = ToSeconds(options_.window);
 
   for (size_t e = 0; e < n; ++e) {
-    window_iops_[e] = static_cast<double>(counts[e]) / seconds;
+    int64_t ios = snapshot.storage->physical_ios(static_cast<EnclosureId>(e));
+    window_iops_[e] = static_cast<double>(ios) / seconds;
     bool cold = window_iops_[e] < low_th();
     placement_determinations_++;
     if (cold != cold_[e]) {

@@ -1,7 +1,9 @@
 #include "storage/storage_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace ecostore::storage {
@@ -15,7 +17,7 @@ StorageCache::StorageCache(const CacheConfig& config) : config_(config) {
       std::max<int64_t>(1, config_.general_area_bytes() / config_.block_size);
   wd_capacity_blocks_ = std::max<int64_t>(
       1, config_.write_delay_area_bytes / config_.block_size);
-  table_.assign(kInitialTableSize, kNilSlot);
+  table_.assign(kInitialTableSize, Bucket{});
   table_mask_ = kInitialTableSize - 1;
   wd_table_.assign(kInitialTableSize, WdKey{});
   wd_mask_ = kInitialTableSize - 1;
@@ -27,33 +29,32 @@ StorageCache::StorageCache(const CacheConfig& config) : config_(config) {
 int32_t StorageCache::TableFind(DataItemId item, int64_t block) const {
   size_t i = HashKey(item, block) & table_mask_;
   while (true) {
-    int32_t s = table_[i];
-    if (s == kNilSlot) return kNilSlot;
-    const Slot& slot = slots_[s];
-    if (slot.item == item && slot.block == block) return s;
+    const Bucket& b = table_[i];
+    if (b.slot == kNilSlot) return kNilSlot;
+    if (b.item == item && b.block == block) return b.slot;
     i = (i + 1) & table_mask_;
   }
 }
 
-void StorageCache::TableInsert(int32_t slot) {
+void StorageCache::TableInsert(DataItemId item, int64_t block, int32_t slot) {
   // Grow before probing so the insert position is final. Any eviction must
   // happen before this call: a hole opened by TableErase earlier in this
   // key's probe chain would otherwise orphan the entry.
   if ((static_cast<size_t>(general_size_) + 1) * 2 > table_.size()) {
     TableGrow();
   }
-  size_t i = HashKey(slots_[slot].item, slots_[slot].block) & table_mask_;
-  while (table_[i] != kNilSlot) i = (i + 1) & table_mask_;
-  table_[i] = slot;
+  size_t i = HashKey(item, block) & table_mask_;
+  while (table_[i].slot != kNilSlot) i = (i + 1) & table_mask_;
+  table_[i] = Bucket{block, item, slot};
 }
 
 void StorageCache::TableErase(DataItemId item, int64_t block) {
   size_t i = HashKey(item, block) & table_mask_;
   while (true) {
-    int32_t s = table_[i];
-    assert(s != kNilSlot && "erasing a block that is not indexed");
-    if (s == kNilSlot) return;
-    if (slots_[s].item == item && slots_[s].block == block) break;
+    const Bucket& b = table_[i];
+    assert(b.slot != kNilSlot && "erasing a block that is not indexed");
+    if (b.slot == kNilSlot) return;
+    if (b.item == item && b.block == block) break;
     i = (i + 1) & table_mask_;
   }
   // Backward-shift deletion: keep every displaced entry reachable from its
@@ -62,28 +63,28 @@ void StorageCache::TableErase(DataItemId item, int64_t block) {
   size_t j = i;
   while (true) {
     j = (j + 1) & table_mask_;
-    int32_t s = table_[j];
-    if (s == kNilSlot) break;
-    size_t home = HashKey(slots_[s].item, slots_[s].block) & table_mask_;
+    const Bucket& b = table_[j];
+    if (b.slot == kNilSlot) break;
+    size_t home = HashKey(b.item, b.block) & table_mask_;
     bool movable = (j > hole) ? (home <= hole || home > j)
                               : (home <= hole && home > j);
     if (movable) {
-      table_[hole] = s;
+      table_[hole] = b;
       hole = j;
     }
   }
-  table_[hole] = kNilSlot;
+  table_[hole] = Bucket{};
 }
 
 void StorageCache::TableGrow() {
-  std::vector<int32_t> old = std::move(table_);
-  table_.assign(old.size() * 2, kNilSlot);
+  std::vector<Bucket> old = std::move(table_);
+  table_.assign(old.size() * 2, Bucket{});
   table_mask_ = table_.size() - 1;
-  for (int32_t s : old) {
-    if (s == kNilSlot) continue;
-    size_t i = HashKey(slots_[s].item, slots_[s].block) & table_mask_;
-    while (table_[i] != kNilSlot) i = (i + 1) & table_mask_;
-    table_[i] = s;
+  for (const Bucket& b : old) {
+    if (b.slot == kNilSlot) continue;
+    size_t i = HashKey(b.item, b.block) & table_mask_;
+    while (table_[i].slot != kNilSlot) i = (i + 1) & table_mask_;
+    table_[i] = b;
   }
 }
 
@@ -121,20 +122,54 @@ void StorageCache::LruMoveToFront(int32_t slot) {
   LruPushFront(slot);
 }
 
+// ---------------------------------------------------------------------------
+// Per-item resident-slot chains and the dirty bitmap.
+
+void StorageCache::ChainUnlink(int32_t slot) {
+  Slot& s = slots_[slot];
+  if (s.chain_prev != kNilSlot) {
+    slots_[s.chain_prev].chain_next = s.chain_next;
+  } else {
+    items_[static_cast<size_t>(s.item)].chain_head = s.chain_next;
+  }
+  if (s.chain_next != kNilSlot) slots_[s.chain_next].chain_prev = s.chain_prev;
+  s.chain_prev = kNilSlot;
+  s.chain_next = kNilSlot;
+}
+
+void StorageCache::MarkDirty(int32_t slot) {
+  slots_[slot].dirty = true;
+  dirty_bits_[static_cast<size_t>(slot) >> 6] |= uint64_t{1} << (slot & 63);
+  general_dirty_++;
+}
+
+void StorageCache::MarkClean(int32_t slot) {
+  slots_[slot].dirty = false;
+  dirty_bits_[static_cast<size_t>(slot) >> 6] &= ~(uint64_t{1} << (slot & 63));
+  general_dirty_--;
+}
+
+// ---------------------------------------------------------------------------
+// Slot allocation and release.
+
+void StorageCache::ReleaseSlot(int32_t slot) {
+  Slot& s = slots_[slot];
+  if (s.dirty) {
+    MarkClean(slot);
+    AddDemand(s.item, 1, config_.block_size);
+  }
+  LruUnlink(slot);
+  TableErase(s.item, s.block);
+  s.item = kInvalidDataItem;
+  free_slots_.push_back(slot);
+  general_size_--;
+}
+
 void StorageCache::EvictLru() {
   int32_t victim = lru_tail_;
   assert(victim != kNilSlot);
-  Slot& slot = slots_[victim];
-  if (slot.dirty) {
-    general_dirty_--;
-    AddDemand(slot.item, 1, config_.block_size);
-  }
-  LruUnlink(victim);
-  TableErase(slot.item, slot.block);
-  slot.item = kInvalidDataItem;
-  slot.dirty = false;
-  free_slots_.push_back(victim);
-  general_size_--;
+  ChainUnlink(victim);
+  ReleaseSlot(victim);
 }
 
 void StorageCache::InsertGeneral(DataItemId item, int64_t block, bool dirty) {
@@ -146,15 +181,21 @@ void StorageCache::InsertGeneral(DataItemId item, int64_t block, bool dirty) {
   } else {
     s = static_cast<int32_t>(slots_.size());
     slots_.push_back(Slot{});
+    if (slots_.size() > dirty_bits_.size() * 64) dirty_bits_.push_back(0);
   }
   Slot& slot = slots_[s];
   slot.item = item;
   slot.block = block;
-  slot.dirty = dirty;
+  // Push onto the item's resident-slot chain.
+  ItemInfo& info = items_[static_cast<size_t>(item)];
+  slot.chain_prev = kNilSlot;
+  slot.chain_next = info.chain_head;
+  if (info.chain_head != kNilSlot) slots_[info.chain_head].chain_prev = s;
+  info.chain_head = s;
   LruPushFront(s);
-  TableInsert(s);
+  TableInsert(item, block, s);
   general_size_++;
-  if (dirty) general_dirty_++;
+  if (dirty) MarkDirty(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,53 +270,54 @@ void StorageCache::BeginDemands(std::vector<FlushDemand>* out) {
   demand_out_ = out;
   if (++demand_epoch_ == 0) {
     // Epoch wrapped: old stamps could alias the new epoch, so reset them.
-    std::fill(demand_index_.begin(), demand_index_.end(),
-              std::pair<uint32_t, uint32_t>{0, 0});
+    for (ItemInfo& info : items_) info.demand_epoch = 0;
     demand_epoch_ = 1;
   }
 }
 
 void StorageCache::AddDemand(DataItemId item, int64_t blocks, int64_t bytes) {
-  auto idx = static_cast<size_t>(item);
-  if (idx >= demand_index_.size()) {
-    demand_index_.resize(idx + 1, {0, 0});
-  }
-  auto& [epoch, pos] = demand_index_[idx];
-  if (epoch == demand_epoch_) {
-    FlushDemand& d = (*demand_out_)[pos];
+  // Demands only arise from resident blocks, so the item has a record.
+  assert(static_cast<size_t>(item) < items_.size());
+  ItemInfo& info = items_[static_cast<size_t>(item)];
+  if (info.demand_epoch == demand_epoch_) {
+    FlushDemand& d = (*demand_out_)[info.demand_pos];
     d.blocks += blocks;
     d.bytes += bytes;
   } else {
-    epoch = demand_epoch_;
-    pos = static_cast<uint32_t>(demand_out_->size());
+    info.demand_epoch = demand_epoch_;
+    info.demand_pos = static_cast<uint32_t>(demand_out_->size());
     demand_out_->push_back(FlushDemand{item, blocks, bytes});
   }
 }
 
 void StorageCache::DestageGeneralInto() {
-  for (Slot& slot : slots_) {
-    if (slot.item != kInvalidDataItem && slot.dirty) {
-      slot.dirty = false;
-      AddDemand(slot.item, 1, config_.block_size);
+  // Ascending slot order, as a walk of the whole slab would emit them.
+  for (size_t w = 0; w < dirty_bits_.size(); ++w) {
+    uint64_t bits = dirty_bits_[w];
+    while (bits != 0) {
+      auto s = static_cast<int32_t>(w * 64 +
+                                    static_cast<size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+      slots_[s].dirty = false;
+      AddDemand(slots_[s].item, 1, config_.block_size);
     }
+    dirty_bits_[w] = 0;
   }
   general_dirty_ = 0;
 }
 
 void StorageCache::DestageWriteDelayInto() {
-  for (auto& [item, info] : items_) {
+  if (wd_dirty_total_ == 0) return;
+  for (size_t i = 0; i < items_.size(); ++i) {
+    ItemInfo& info = items_[i];
     if (info.wd_dirty > 0) {
-      AddDemand(item, info.wd_dirty, info.wd_dirty * config_.block_size);
+      AddDemand(static_cast<DataItemId>(i), info.wd_dirty,
+                info.wd_dirty * config_.block_size);
       info.wd_dirty = 0;
     }
   }
   WdClear();
   wd_dirty_total_ = 0;
-}
-
-void StorageCache::CompactItem(DataItemId item) {
-  auto it = items_.find(item);
-  if (it != items_.end() && it->second.empty()) items_.erase(it);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,9 +332,9 @@ StorageCache::ReadOutcome StorageCache::Read(
   int64_t first = FirstBlock(offset);
   int64_t last = LastBlock(offset, size);
   // One item-state lookup per request, not one per block.
-  const ItemInfo* info = FindItem(item);
-  bool preloaded = info != nullptr && info->preloaded;
-  bool wd_resident = info != nullptr && info->wd_dirty > 0;
+  const ItemInfo& info = ItemAt(item);
+  bool preloaded = info.preloaded;
+  bool wd_resident = info.wd_dirty > 0;
   for (int64_t b = first; b <= last; ++b) {
     if (preloaded) {
       out.hit_blocks++;
@@ -326,14 +368,13 @@ StorageCache::WriteOutcome StorageCache::Write(
   int64_t last = LastBlock(offset, size);
   absorbed_write_blocks_ += last - first + 1;
 
-  auto it = items_.find(item);
-  ItemInfo* info = it == items_.end() ? nullptr : &it->second;
-  if (info != nullptr && info->write_delayed) {
+  ItemInfo& info = ItemAt(item);
+  if (info.write_delayed) {
     out.write_delayed = true;
     for (int64_t b = first; b <= last; ++b) {
       if (WdInsert(item, b)) {
         wd_dirty_total_++;
-        info->wd_dirty++;
+        info.wd_dirty++;
       }
     }
     double limit = config_.write_delay_dirty_ratio *
@@ -348,10 +389,7 @@ StorageCache::WriteOutcome StorageCache::Write(
     int32_t s = TableFind(item, b);
     if (s != kNilSlot) {
       LruMoveToFront(s);
-      if (!slots_[s].dirty) {
-        slots_[s].dirty = true;
-        general_dirty_++;
-      }
+      if (!slots_[s].dirty) MarkDirty(s);
     } else {
       // Eviction write-backs land in `destage` ahead of any threshold
       // destage, matching the legacy demand order.
@@ -371,11 +409,13 @@ std::vector<FlushDemand> StorageCache::SetWriteDelayItems(
     std::vector<DataItemId>* entered, std::vector<WdChange>* left) {
   std::vector<FlushDemand> demands;
   BeginDemands(&demands);
-  // Destage dirty blocks of items leaving the set (paper §V-B).
-  std::vector<DataItemId> leaving;
+  // Destage dirty blocks of items leaving the set (paper §V-B), in item
+  // id order.
   std::vector<DataItemId> erase;
-  for (auto& [id, info] : items_) {
+  for (size_t i = 0; i < items_.size(); ++i) {
+    ItemInfo& info = items_[i];
     if (!info.write_delayed && info.wd_dirty == 0) continue;
+    auto id = static_cast<DataItemId>(i);
     if (items.count(id) > 0) continue;
     int64_t flushed = 0;
     if (info.wd_dirty > 0) {
@@ -386,25 +426,19 @@ std::vector<FlushDemand> StorageCache::SetWriteDelayItems(
       erase.push_back(id);
     }
     info.write_delayed = false;
-    leaving.push_back(id);
     if (left != nullptr) {
       left->push_back(WdChange{id, flushed, flushed * config_.block_size});
     }
   }
   WdEraseItems(std::move(erase));
   for (DataItemId id : items) {
-    ItemInfo& info = items_[id];
+    ItemInfo& info = ItemAt(id);
     if (entered != nullptr && !info.write_delayed) entered->push_back(id);
     info.write_delayed = true;
   }
-  for (DataItemId id : leaving) CompactItem(id);
-  // items_ iterates in hash order; sort so per-item attribution events are
-  // emitted in a stable order.
+  // `items` iterates in hash order; sort so per-item attribution events
+  // are emitted in a stable order (`left` already is, by item id).
   if (entered != nullptr) std::sort(entered->begin(), entered->end());
-  if (left != nullptr) {
-    std::sort(left->begin(), left->end(),
-              [](const WdChange& a, const WdChange& b) { return a.item < b.item; });
-  }
   return demands;
 }
 
@@ -421,22 +455,15 @@ StorageCache::ItemState StorageCache::ExportItemState(DataItemId item) const {
 }
 
 void StorageCache::AdoptItemState(DataItemId item, const ItemState& state) {
-  ItemInfo& info = items_[item];
+  ItemInfo& info = ItemAt(item);
   info.preload_selected = state.preload_selected;
   info.preloaded = state.preloaded;
   info.write_delayed = state.write_delayed;
   info.preload_bytes = state.preload_bytes;
-  CompactItem(item);
 }
 
 void StorageCache::DropItemState(DataItemId item) {
-  auto it = items_.find(item);
-  if (it == items_.end()) return;
-  it->second.preload_selected = false;
-  it->second.preloaded = false;
-  it->second.write_delayed = false;
-  it->second.preload_bytes = 0;
-  CompactItem(item);
+  AdoptItemState(item, ItemState{});
 }
 
 Result<std::vector<DataItemId>> StorageCache::SetPreloadItems(
@@ -451,22 +478,21 @@ Result<std::vector<DataItemId>> StorageCache::SetPreloadItems(
   selected.reserve(sizes.size());
   for (const auto& [item, size] : sizes) selected.insert(item);
   // Deselected items drop out immediately.
-  std::vector<DataItemId> dropped;
-  for (auto& [id, info] : items_) {
-    if (info.preload_selected && selected.count(id) == 0) {
+  for (size_t i = 0; i < items_.size(); ++i) {
+    ItemInfo& info = items_[i];
+    if (info.preload_selected &&
+        selected.count(static_cast<DataItemId>(i)) == 0) {
       info.preload_selected = false;
       info.preloaded = false;
       info.preload_bytes = 0;
-      dropped.push_back(id);
     }
   }
-  for (DataItemId id : dropped) CompactItem(id);
   // Already-loaded items stay resident (paper §V-C); everything else —
   // newly selected or selected-but-never-loaded — must be (re)loaded, in
   // `sizes` order.
   std::vector<DataItemId> to_load;
   for (const auto& [item, size] : sizes) {
-    ItemInfo& info = items_[item];
+    ItemInfo& info = ItemAt(item);
     if (info.preload_selected && info.preloaded) continue;
     info.preload_selected = true;
     info.preloaded = false;
@@ -477,11 +503,11 @@ Result<std::vector<DataItemId>> StorageCache::SetPreloadItems(
 }
 
 Status StorageCache::MarkPreloaded(DataItemId item) {
-  auto it = items_.find(item);
-  if (it == items_.end() || !it->second.preload_selected) {
+  auto idx = static_cast<size_t>(item);
+  if (idx >= items_.size() || !items_[idx].preload_selected) {
     return Status::NotFound("item not in preload set");
   }
-  it->second.preloaded = true;
+  items_[idx].preloaded = true;
   return Status::OK();
 }
 
@@ -495,32 +521,130 @@ std::vector<FlushDemand> StorageCache::FlushAll() {
 
 std::vector<FlushDemand> StorageCache::InvalidateItem(DataItemId item) {
   std::vector<FlushDemand> demands;
+  auto idx = static_cast<size_t>(item);
+  if (idx >= items_.size()) return demands;
   BeginDemands(&demands);
-  for (int32_t s = 0; s < static_cast<int32_t>(slots_.size()); ++s) {
-    Slot& slot = slots_[s];
-    if (slot.item != item) continue;
-    if (slot.dirty) {
-      general_dirty_--;
-      AddDemand(item, 1, config_.block_size);
-    }
-    LruUnlink(s);
-    TableErase(slot.item, slot.block);
-    slot.item = kInvalidDataItem;
-    slot.dirty = false;
-    free_slots_.push_back(s);
-    general_size_--;
+  // Free the item's slots in ascending slot id, as a walk of the whole
+  // slab would, so the free list comes out in the same order.
+  std::vector<int32_t> chain;
+  for (int32_t s = items_[idx].chain_head; s != kNilSlot;
+       s = slots_[s].chain_next) {
+    chain.push_back(s);
   }
-  auto it = items_.find(item);
-  if (it != items_.end() && it->second.wd_dirty > 0) {
-    AddDemand(item, it->second.wd_dirty,
-              it->second.wd_dirty * config_.block_size);
-    wd_dirty_total_ -= it->second.wd_dirty;
-    it->second.wd_dirty = 0;
+  std::sort(chain.begin(), chain.end());
+  items_[idx].chain_head = kNilSlot;
+  for (int32_t s : chain) {
+    slots_[s].chain_prev = kNilSlot;
+    slots_[s].chain_next = kNilSlot;
+    ReleaseSlot(s);
+  }
+  ItemInfo& info = items_[idx];
+  if (info.wd_dirty > 0) {
+    AddDemand(item, info.wd_dirty, info.wd_dirty * config_.block_size);
+    wd_dirty_total_ -= info.wd_dirty;
+    info.wd_dirty = 0;
     WdEraseItems({item});
   }
   // Write-delay membership survives invalidation: the item's physical
   // location changed, not the policy's selection.
   return demands;
+}
+
+Status StorageCache::CheckInvariants() const {
+  auto fail = [](const std::string& what) {
+    return Status::Internal("storage cache: " + what);
+  };
+  // The slab against its index, both ways.
+  int64_t occupied = 0;
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    const Slot& slot = slots_[s];
+    if (slot.item == kInvalidDataItem) continue;
+    occupied++;
+    if (TableFind(slot.item, slot.block) != static_cast<int32_t>(s)) {
+      return fail("slot " + std::to_string(s) + " is not indexed under its key");
+    }
+  }
+  if (occupied != general_size_) return fail("occupied slots != general size");
+  int64_t indexed = 0;
+  for (const Bucket& b : table_) {
+    if (b.slot == kNilSlot) continue;
+    indexed++;
+    if (b.slot < 0 || static_cast<size_t>(b.slot) >= slots_.size() ||
+        slots_[b.slot].item != b.item || slots_[b.slot].block != b.block) {
+      return fail("an index bucket points at a slot holding another key");
+    }
+  }
+  if (indexed != general_size_) return fail("index entries != general size");
+  if (static_cast<int64_t>(free_slots_.size()) + general_size_ !=
+      static_cast<int64_t>(slots_.size())) {
+    return fail("free list + occupied slots != slab size");
+  }
+
+  // The LRU list: well linked and as long as the general area.
+  int64_t lru_len = 0;
+  int32_t prev = kNilSlot;
+  for (int32_t s = lru_head_; s != kNilSlot; s = slots_[s].lru_next) {
+    if (++lru_len > general_size_ || slots_[s].lru_prev != prev ||
+        slots_[s].item == kInvalidDataItem) {
+      return fail("LRU list is malformed or longer than the general area");
+    }
+    prev = s;
+  }
+  if (lru_len != general_size_ || lru_tail_ != prev) {
+    return fail("LRU length != general size");
+  }
+
+  // Each item's chain holds exactly its resident slots: every chain entry
+  // belongs to the item, no slot is chained twice, and the chains cover
+  // every occupied slot.
+  std::vector<bool> chained(slots_.size(), false);
+  int64_t chain_total = 0;
+  for (size_t i = 0; i < items_.size(); ++i) {
+    prev = kNilSlot;
+    for (int32_t s = items_[i].chain_head; s != kNilSlot;
+         s = slots_[s].chain_next) {
+      if (slots_[s].item != static_cast<DataItemId>(i) || chained[s] ||
+          slots_[s].chain_prev != prev) {
+        return fail("item " + std::to_string(i) +
+                    "'s slot chain holds a foreign, repeated or mislinked slot");
+      }
+      chained[s] = true;
+      chain_total++;
+      prev = s;
+    }
+  }
+  if (chain_total != general_size_) {
+    return fail("item chains do not cover every resident slot");
+  }
+
+  // The dirty bitmap against the dirty flags and the counter.
+  if (dirty_bits_.size() != (slots_.size() + 63) / 64) {
+    return fail("dirty bitmap does not cover the slab");
+  }
+  int64_t dirty = 0;
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    bool bit = (dirty_bits_[s >> 6] >> (s & 63)) & 1;
+    bool flag = slots_[s].dirty;
+    if (bit != flag || (flag && slots_[s].item == kInvalidDataItem)) {
+      return fail("dirty bit of slot " + std::to_string(s) +
+                  " disagrees with its flag");
+    }
+    dirty += flag ? 1 : 0;
+  }
+  if (dirty != general_dirty_) return fail("dirty slots != general dirty count");
+
+  // Write-delay counters: per-item counts sum to the total, which is the
+  // number of resident write-delay blocks.
+  int64_t wd_sum = 0;
+  for (const ItemInfo& info : items_) {
+    if (info.wd_dirty < 0) return fail("negative write-delay count");
+    wd_sum += info.wd_dirty;
+  }
+  if (wd_sum != wd_dirty_total_ ||
+      static_cast<int64_t>(wd_size_) != wd_dirty_total_) {
+    return fail("write-delay counts do not sum to the total");
+  }
+  return Status::OK();
 }
 
 }  // namespace ecostore::storage

@@ -12,7 +12,10 @@ Result<std::unique_ptr<RecordedWorkload>> RecordedWorkload::FromRecords(
     std::string name, storage::DataItemCatalog catalog,
     std::vector<trace::LogicalIoRecord> records, SimDuration duration,
     int num_enclosures) {
-  // Validate ordering and item references.
+  // Validate ordering, item references and that each record starts
+  // inside its item. Only the start is checked: a generated I/O may run
+  // a partial block past the item's end (BurstySource wraps the offset,
+  // not the extent).
   SimTime last = 0;
   for (const trace::LogicalIoRecord& rec : records) {
     if (rec.time < last) {
@@ -23,6 +26,13 @@ Result<std::unique_ptr<RecordedWorkload>> RecordedWorkload::FromRecords(
         static_cast<size_t>(rec.item) >= catalog.item_count()) {
       return Status::InvalidArgument("trace references unknown item " +
                                      std::to_string(rec.item));
+    }
+    if (rec.offset >= catalog.item(rec.item).size_bytes) {
+      return Status::InvalidArgument(
+          "trace record at offset " + std::to_string(rec.offset) +
+          " starts past the end of item " + std::to_string(rec.item) +
+          " (" + std::to_string(catalog.item(rec.item).size_bytes) +
+          " bytes)");
     }
   }
   if (num_enclosures == 0) {

@@ -174,6 +174,58 @@ TEST_F(BaselineFixture, DdrClassifiesColdAndAllowsSpinDown) {
   EXPECT_EQ(policy.placement_determinations(), 3);
 }
 
+// DDR reads the storage monitor's per-enclosure physical-I/O counters,
+// which the monitor zeroes at each period reset: two windows with known
+// per-enclosure mixes flip the cold set, and the second window's IOPS
+// (not the sum of both) pick the migration target.
+TEST_F(BaselineFixture, DdrFollowsPerEnclosureCountsAcrossWindows) {
+  DdrPolicy policy{DdrPolicy::Options{}};
+  MockActuator actuator(&app_monitor_);
+  policy.Start(*system_, &actuator);
+
+  // Window 1 (LowTH 225 IOPS over 10 s = 2250 I/Os): enclosure 0 at
+  // 300 IOPS, enclosure 1 just below LowTH, enclosure 2 exactly at it.
+  PhysicalRead(0, 0, 3000);
+  PhysicalRead(0, 1, 2249);
+  PhysicalRead(0, 2, 2250);
+  EXPECT_EQ(storage_monitor_.physical_ios(1), 2249);
+  actuator.now = 10 * kSecond;
+  policy.OnPeriodEnd(Snapshot(0, 10 * kSecond), *system_, &actuator);
+  ASSERT_EQ(actuator.spin_down.size(), 3u);
+  EXPECT_FALSE(actuator.spin_down[0]);
+  EXPECT_TRUE(actuator.spin_down[1]);
+  EXPECT_FALSE(actuator.spin_down[2]);
+  storage_monitor_.ResetPeriod(10 * kSecond);
+  for (EnclosureId e = 0; e < 3; ++e) {
+    EXPECT_EQ(storage_monitor_.physical_ios(e), 0);
+  }
+
+  // Window 2: enclosure 0 goes quiet, enclosure 1 runs at 500 IOPS
+  // (above TargetTH 450), enclosure 2 stays at LowTH.
+  PhysicalRead(10 * kSecond, 0, 100);
+  PhysicalRead(10 * kSecond, 1, 5000);
+  PhysicalRead(10 * kSecond, 2, 2250);
+  actuator.now = 20 * kSecond;
+  policy.OnPeriodEnd(Snapshot(10 * kSecond, 20 * kSecond), *system_,
+                     &actuator);
+  EXPECT_TRUE(actuator.spin_down[0]);
+  EXPECT_FALSE(actuator.spin_down[1]);
+  EXPECT_FALSE(actuator.spin_down[2]);
+  EXPECT_EQ(policy.placement_determinations(), 6);
+
+  // An access to now-cold enclosure 0 moves its blocks to the hot
+  // enclosure with headroom under TargetTH: 2, not the saturated 1.
+  trace::PhysicalIoRecord rec;
+  rec.time = 21 * kSecond;
+  rec.enclosure = 0;
+  rec.size = 65536;
+  rec.type = IoType::kRead;
+  policy.OnPhysicalIo(rec);
+  ASSERT_EQ(actuator.block_moves.size(), 1u);
+  EXPECT_EQ(std::get<0>(actuator.block_moves[0]), 0);
+  EXPECT_EQ(std::get<1>(actuator.block_moves[0]), 2);
+}
+
 TEST_F(BaselineFixture, DdrMigratesBlocksOffColdEnclosures) {
   DdrPolicy policy{DdrPolicy::Options{}};
   MockActuator actuator(&app_monitor_);

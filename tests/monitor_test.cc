@@ -40,7 +40,13 @@ TEST(StorageMonitorTest, TracksPhysicalIoAndPowerEvents) {
   rec.size = 65536;
   rec.type = IoType::kWrite;
   monitor.OnPhysicalIo(rec);
-  EXPECT_EQ(monitor.buffer().size(), 1u);
+  monitor.OnPhysicalIo(rec);
+  rec.enclosure = 2;
+  monitor.OnPhysicalIo(rec);
+  // Physical I/O is counted per enclosure.
+  EXPECT_EQ(monitor.physical_ios(0), 0);
+  EXPECT_EQ(monitor.physical_ios(1), 2);
+  EXPECT_EQ(monitor.physical_ios(2), 1);
 
   monitor.OnPowerStateChange(1, 10, storage::PowerState::kSpinningUp);
   monitor.OnPowerStateChange(1, 20, storage::PowerState::kOff);
@@ -52,7 +58,7 @@ TEST(StorageMonitorTest, TracksPhysicalIoAndPowerEvents) {
   EXPECT_EQ(monitor.power_on_count(2), 1);
 
   monitor.ResetPeriod(100);
-  EXPECT_TRUE(monitor.buffer().empty());
+  for (EnclosureId e = 0; e < 3; ++e) EXPECT_EQ(monitor.physical_ios(e), 0);
   EXPECT_TRUE(monitor.power_events().empty());
   EXPECT_EQ(monitor.power_on_count(1), 0);
   EXPECT_EQ(monitor.period_start(), 100);

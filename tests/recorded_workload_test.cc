@@ -109,6 +109,21 @@ TEST(RecordedWorkloadTest, RejectsOutOfOrderAndUnknownItems) {
       RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
 }
 
+// A record must start inside its item; only the start is checked, so an
+// I/O whose extent runs past the item's end still loads.
+TEST(RecordedWorkloadTest, RejectsOffsetPastItemEnd) {
+  auto records = SampleRecords();
+  records[1].offset = 50;  // item 1 ("meta") is 50 bytes
+  auto past_end = RecordedWorkload::FromRecords("x", SampleCatalog(), records);
+  ASSERT_FALSE(past_end.ok());
+  EXPECT_NE(past_end.status().ToString().find("past the end of item 1"),
+            std::string::npos);
+
+  records[1].offset = 49;  // last byte: a 4096-byte I/O runs past the end
+  EXPECT_TRUE(
+      RecordedWorkload::FromRecords("x", SampleCatalog(), records).ok());
+}
+
 TEST(RecordedWorkloadTest, CaptureMatchesSource) {
   FileServerConfig config;
   config.duration = 3 * kMinute;

@@ -217,8 +217,9 @@ TEST(StorageCacheTest, InvalidateItemDropsAndReturnsDirty) {
   EXPECT_FALSE(h.Read(5, 0, 4096).fully_hit());  // dropped
 }
 
-// Property: dirty counters never go negative and never exceed area
-// capacities under random op sequences.
+// Property: the internal bookkeeping checks out after every operation,
+// and dirty counters never go negative and never exceed area capacities,
+// under random op sequences.
 class CachePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CachePropertyTest, CountersStayConsistent) {
@@ -243,6 +244,9 @@ TEST_P(CachePropertyTest, CountersStayConsistent) {
         if (rng.Bernoulli(0.1)) h.cache.FlushAll();
         break;
     }
+    Status invariants = h.cache.CheckInvariants();
+    ASSERT_TRUE(invariants.ok()) << "step " << step << ": "
+                                 << invariants.ToString();
     EXPECT_GE(h.cache.general_dirty_blocks(), 0);
     EXPECT_LE(h.cache.general_dirty_blocks(), 32);
     EXPECT_GE(h.cache.write_delay_dirty_blocks(), 0);
