@@ -30,10 +30,6 @@ int main(int argc, char** argv) {
   // --profile=<base> attaches the wall-clock phase profiler to the
   // instrumented capture run (requires --telemetry).
   const std::string profile_base = bench::ParseProfileFlag(argc, argv);
-  // --shards=S replays each policy run on the sharded intra-run engine
-  // (one experiment spread over S lanes); default 1 keeps the serial
-  // engine.
-  const int shards = bench::ParseShardsFlag(argc, argv);
   // --capture-only skips the four-policy figure suite and runs just the
   // instrumented capture: what the CI regression gate wants.
   const bool capture_only =
@@ -60,11 +56,9 @@ int main(int argc, char** argv) {
                                    rolling_window, profile_base);
   }
 
-  replay::SuiteOptions options;
-  options.shards = shards;
   Result<std::vector<replay::ExperimentMetrics>> runs =
       replay::ParallelRunSuite(make_workload, replay::PaperPolicySet(pm),
-                               config, options);
+                               config, replay::SuiteOptions{});
   if (!runs.ok()) {
     std::cerr << runs.status().ToString() << "\n";
     return 1;

@@ -1,15 +1,17 @@
-// Google-benchmark microbenchmarks for the hot code paths: the event
-// loop, the cache, interval analysis, the classifier and the placement
-// planner. These bound the monitoring overhead the paper argues is small
-// (§III-A, §VII-D).
+// Google-benchmark microbenchmarks for hot code paths the --json pass
+// does not time: cache hits and write absorption, interval analysis, the
+// classifier on a synthetic trace, the placement planner and enclosure
+// submission. These bound the monitoring overhead the paper argues is
+// small (§III-A, §VII-D).
 //
-// In addition to the google-benchmark suite, main() times the per-period
-// classification hot path on a real file-server monitoring period — both
-// the current streaming implementation and the pre-optimisation
-// vector-of-vectors gather (replicated below) — and writes the results to
-// BENCH_perf.json (override the path with --json=<path> or the
-// ECOSTORE_BENCH_JSON env var) so the perf trajectory is tracked across
-// PRs. `bench_micro --json` runs only that measurement pass.
+// After the google-benchmark suite, main() measures the tracked figures
+// and writes them to BENCH_perf.json (override the path with
+// --json=<path> or the ECOSTORE_BENCH_JSON env var): each current
+// implementation against its frozen legacy reference (classification,
+// cache mix, workload streaming, planner and classifier at fleet scale),
+// the simulator's event rate, and the three <2% overhead gates.
+// `bench_micro --json` runs only that measurement pass. Whole-replay
+// throughput is perfbench's figure (perfbench/README.md), not this file's.
 
 #include <benchmark/benchmark.h>
 
@@ -18,9 +20,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -32,13 +32,10 @@
 #include "core/eco_storage_policy.h"
 #include "core/pattern_classifier.h"
 #include "core/placement_planner.h"
-#include "policies/basic_policies.h"
 #include "replay/experiment.h"
-#include "replay/sharded_experiment.h"
 #include "sim/simulator.h"
 #include "storage/disk_enclosure.h"
 #include "storage/storage_cache.h"
-#include "telemetry/profile/profile_export.h"
 #include "telemetry/profile/profiler.h"
 #include "telemetry/recorder.h"
 #include "trace/trace_stats.h"
@@ -46,18 +43,6 @@
 
 namespace ecostore {
 namespace {
-
-void BM_SimulatorScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(i, [] {});
-    }
-    benchmark::DoNotOptimize(sim.RunAll());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorScheduleRun);
 
 void BM_CacheReadHit(benchmark::State& state) {
   storage::CacheConfig config;
@@ -301,8 +286,8 @@ core::ClassificationResult ClassifyLegacy(
 }
 
 /// One monitoring period (the paper's initial 520 s) of the file-server
-/// workload, replayed into a trace buffer once and shared by the
-/// classification benchmarks.
+/// workload, replayed into a trace buffer once for the classification
+/// figure.
 struct FileServerPeriod {
   storage::DataItemCatalog catalog;
   trace::LogicalTraceBuffer buffer;
@@ -329,13 +314,10 @@ struct FileServerPeriod {
   }
 };
 
-// ---------------------------------------------------------------------
-// Workload streaming: Next() one record at a time vs NextBatch() — the
-// feed half of the batched replay loop.
-// ---------------------------------------------------------------------
-
-/// The file-server generator for one monitoring period, shared by the
-/// stream benchmarks (Reset() rewinds it deterministically).
+/// The file-server generator for one monitoring period, timed by the
+/// workload_stream figure: Next() one record at a time vs NextBatch(),
+/// the feed half of the batched replay loop (Reset() rewinds it
+/// deterministically).
 workload::FileServerWorkload* StreamBenchWorkload() {
   static workload::FileServerWorkload* w = [] {
     workload::FileServerConfig config;
@@ -350,64 +332,6 @@ workload::FileServerWorkload* StreamBenchWorkload() {
   }();
   return w;
 }
-
-void BM_FileServerStreamNext(benchmark::State& state) {
-  workload::FileServerWorkload* w = StreamBenchWorkload();
-  int64_t records = 0;
-  for (auto _ : state) {
-    w->Reset();
-    trace::LogicalIoRecord rec;
-    records = 0;
-    while (w->Next(&rec)) {
-      benchmark::DoNotOptimize(rec);
-      records++;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * records);
-}
-BENCHMARK(BM_FileServerStreamNext);
-
-void BM_FileServerStreamNextBatch(benchmark::State& state) {
-  workload::FileServerWorkload* w = StreamBenchWorkload();
-  std::vector<trace::LogicalIoRecord> batch;
-  batch.reserve(256);
-  int64_t records = 0;
-  for (auto _ : state) {
-    w->Reset();
-    records = 0;
-    while (w->NextBatch(&batch, 256) > 0) {
-      benchmark::DoNotOptimize(batch.data());
-      records += static_cast<int64_t>(batch.size());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * records);
-}
-BENCHMARK(BM_FileServerStreamNextBatch);
-
-void BM_ClassifyFileServerPeriod(benchmark::State& state) {
-  const FileServerPeriod& period = FileServerPeriod::Get();
-  core::PatternClassifier classifier(
-      core::PatternClassifier::Options{52 * kSecond, 1 * kSecond});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier.Classify(
-        period.buffer, period.catalog, 0, period.period_end));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(period.buffer.size()));
-}
-BENCHMARK(BM_ClassifyFileServerPeriod);
-
-void BM_ClassifyFileServerPeriodLegacy(benchmark::State& state) {
-  const FileServerPeriod& period = FileServerPeriod::Get();
-  core::PatternClassifier::Options options{52 * kSecond, 1 * kSecond};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ClassifyLegacy(
-        options, period.buffer, period.catalog, 0, period.period_end));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(period.buffer.size()));
-}
-BENCHMARK(BM_ClassifyFileServerPeriodLegacy);
 
 void BM_PatternClassifier(benchmark::State& state) {
   const int n_items = static_cast<int>(state.range(0));
@@ -498,16 +422,11 @@ void BM_EnclosureSubmit(benchmark::State& state) {
 BENCHMARK(BM_EnclosureSubmit);
 
 // ---------------------------------------------------------------------
-// BENCH_perf.json: manually timed classification throughput (events/s)
-// on the file-server period, current vs legacy, for cross-PR tracking.
-// ---------------------------------------------------------------------
-
-}  // namespace
-
-// ---------------------------------------------------------------------
-// End-to-end replay throughput: a whole Experiment (cache + simulator +
+// The overhead gates' replay: a whole eco Experiment (cache + simulator +
 // policy + migration engine) on a 20-minute file-server trace, measured
-// in logical I/Os per wall second. Non-anonymous so main() can reach it.
+// in logical I/Os per wall second. The published end-to-end replay
+// figures are perfbench's (perfbench/README.md); this harness times the
+// replay only to compare one instrument on against off.
 // ---------------------------------------------------------------------
 
 struct ReplayFigure {
@@ -529,7 +448,7 @@ enum class ReplayInstrument {
 };
 
 ReplayFigure MeasureReplayThroughput(
-    bool eco, telemetry::Recorder* recorder = nullptr,
+    telemetry::Recorder* recorder = nullptr,
     ReplayInstrument instrument = ReplayInstrument::kPassedRecorder,
     telemetry::profile::Profiler* profiler = nullptr) {
   workload::FileServerConfig wl;
@@ -544,15 +463,9 @@ ReplayFigure MeasureReplayThroughput(
   ReplayFigure figure;
   auto run_once = [&] {
     // Keep only the last run's spans: the ring survives across the repeat
-    // loop, and the export/stat consumers want one run, not an overlay.
+    // loop, so it never wraps however many runs the loop times.
     if (profiler != nullptr) profiler->Drain();
-    std::unique_ptr<policies::StoragePolicy> policy;
-    if (eco) {
-      policy = std::make_unique<core::EcoStoragePolicy>(
-          core::PowerManagementConfig{});
-    } else {
-      policy = std::make_unique<policies::NoPowerSavingPolicy>();
-    }
+    core::EcoStoragePolicy policy(core::PowerManagementConfig{});
     replay::ExperimentConfig config;
     config.profiler = profiler;
     telemetry::Recorder local_recorder;
@@ -575,8 +488,7 @@ ReplayFigure MeasureReplayThroughput(
         config.stream_window_us = ropt.window_us;
       }
     }
-    replay::Experiment experiment(workload.value().get(), policy.get(),
-                                  config);
+    replay::Experiment experiment(workload.value().get(), &policy, config);
     auto metrics = experiment.Run();
     if (!metrics.ok()) {
       std::fprintf(stderr, "replay bench run: %s\n",
@@ -602,161 +514,6 @@ ReplayFigure MeasureReplayThroughput(
   figure.lios_per_sec =
       static_cast<double>(figure.logical_ios * calls) / elapsed;
   return figure;
-}
-
-// ---------------------------------------------------------------------
-// Shard-scaling microbench: one 120-enclosure eco run on the sharded
-// engine, S=1 (the serial engine, by delegation) vs S=8. The config is
-// inside the documented exact-equivalence domain (neutral cache,
-// pattern-change triggers off), so the figures are gated on the two
-// shard counts producing the same integer counters and per-enclosure
-// energies. The speedup is machine-dependent: on a single-core host the
-// epoch barriers are pure overhead and the figure is honestly < 1.
-// ---------------------------------------------------------------------
-
-ReplayFigure MeasureShardedReplayThroughput(
-    int shards, replay::ExperimentMetrics* out_metrics = nullptr,
-    telemetry::profile::Profiler* profiler = nullptr) {
-  workload::FileServerConfig wl;
-  wl.duration = 20 * kMinute;
-  wl.num_enclosures = 120;
-  wl.big_hot_files = 20;
-  wl.small_hot_files = 60;
-  wl.popular_files = 2500;
-  wl.tail_files = 1000;
-  wl.archive_files = 240;
-  // The default file-server sizes (120 GiB hot / 96 GiB archive) target
-  // a 12-enclosure array; 20 big-hot files at those sizes overflow the
-  // first enclosure's 1.7 TiB volume. Scale the per-file sizes down so
-  // the 120-enclosure placement fits while the I/O stream stays dense.
-  wl.big_hot_file_bytes = 8 * kGiB;
-  wl.archive_file_bytes = 4 * kGiB;
-  auto workload = workload::FileServerWorkload::Create(wl);
-  if (!workload.ok()) {
-    std::fprintf(stderr, "sharded bench workload: %s\n",
-                 workload.status().ToString().c_str());
-    std::abort();
-  }
-
-  ReplayFigure figure;
-  auto run_once = [&] {
-    if (profiler != nullptr) profiler->Drain();  // last run's spans only
-    core::PowerManagementConfig pm;
-    pm.enable_pattern_change_triggers = false;
-    core::EcoStoragePolicy policy(pm);
-    replay::ExperimentConfig config;
-    config.profiler = profiler;
-    config.storage.cache.total_bytes = 64 * kGiB;
-    config.storage.cache.write_delay_area_bytes = 8 * kGiB;
-    replay::ShardedExperiment experiment(workload.value().get(), &policy,
-                                         config, shards);
-    auto metrics = experiment.Run();
-    if (!metrics.ok()) {
-      std::fprintf(stderr, "sharded bench run: %s\n",
-                   metrics.status().ToString().c_str());
-      std::abort();
-    }
-    figure.logical_ios = metrics.value().logical_ios;
-    figure.fingerprint = bench::MetricsFingerprint(metrics.value());
-    if (out_metrics != nullptr) *out_metrics = metrics.value();
-  };
-
-  using Clock = std::chrono::steady_clock;
-  // Two timed runs, best wall time: these runs are seconds-long, so the
-  // 2-second repeat loop of the serial figure would be all warm-up.
-  double best = 1e300;
-  for (int i = 0; i < 2; ++i) {
-    auto start = Clock::now();
-    run_once();
-    double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (elapsed < best) best = elapsed;
-  }
-  figure.lios_per_sec = static_cast<double>(figure.logical_ios) / best;
-  return figure;
-}
-
-namespace {
-
-// ---------------------------------------------------------------------
-// sharded_profile: the contention breakdown the wall-clock phase spans
-// of a profiled sharded replay yield — per-lane busy time, coordinator
-// barrier-wait and merge time, and the per-epoch load-imbalance ratio
-// (max lane busy / mean lane busy among the lanes that ran that epoch).
-// S=1 delegates to the serial engine, so its row reports the serial
-// pipeline (ingest/period-end) instead of lane spans.
-// ---------------------------------------------------------------------
-
-struct ShardedProfileStats {
-  uint64_t spans = 0;
-  int64_t epochs = 0;  ///< kEpoch spans recorded (sharded path only)
-  std::vector<double> lane_busy_ms;  ///< per lane: total kLaneAdvance wall
-  double ingest_ms = 0.0;  ///< serial-path ingest (the S=1 delegation)
-  double scatter_ms = 0.0;
-  double barrier_wait_ms = 0.0;
-  double merge_ms = 0.0;
-  double period_end_ms = 0.0;
-  double imbalance_mean = 0.0;
-};
-
-ShardedProfileStats ComputeShardedProfileStats(
-    const std::vector<telemetry::profile::Span>& spans) {
-  namespace prof = telemetry::profile;
-  ShardedProfileStats out;
-  out.spans = spans.size();
-  // epoch correlation id -> lane -> busy ns, for the imbalance ratio.
-  std::map<uint32_t, std::map<uint16_t, int64_t>> epoch_busy;
-  for (const prof::Span& s : spans) {
-    const double ms = static_cast<double>(s.dur_ns) / 1e6;
-    switch (static_cast<prof::Phase>(s.phase)) {
-      case prof::Phase::kEpoch:
-        out.epochs++;
-        break;
-      case prof::Phase::kIngest:
-        out.ingest_ms += ms;
-        break;
-      case prof::Phase::kScatter:
-        out.scatter_ms += ms;
-        break;
-      case prof::Phase::kBarrierWait:
-        out.barrier_wait_ms += ms;
-        break;
-      case prof::Phase::kMerge:
-        out.merge_ms += ms;
-        break;
-      case prof::Phase::kPeriodEnd:
-        out.period_end_ms += ms;
-        break;
-      case prof::Phase::kLaneAdvance:
-        if (s.lane >= out.lane_busy_ms.size()) {
-          out.lane_busy_ms.resize(s.lane + 1, 0.0);
-        }
-        out.lane_busy_ms[s.lane] += ms;
-        epoch_busy[s.seq][s.lane] += s.dur_ns;
-        break;
-      default:
-        break;
-    }
-  }
-  double ratio_sum = 0.0;
-  int64_t ratio_epochs = 0;
-  for (const auto& [seq, lanes] : epoch_busy) {
-    if (lanes.size() < 2) continue;  // one active lane: imbalance undefined
-    int64_t max_ns = 0, sum_ns = 0;
-    for (const auto& [lane, ns] : lanes) {
-      max_ns = std::max(max_ns, ns);
-      sum_ns += ns;
-    }
-    if (sum_ns <= 0) continue;
-    const double mean_ns =
-        static_cast<double>(sum_ns) / static_cast<double>(lanes.size());
-    ratio_sum += static_cast<double>(max_ns) / mean_ns;
-    ratio_epochs++;
-  }
-  out.imbalance_mean = ratio_epochs > 0
-                           ? ratio_sum / static_cast<double>(ratio_epochs)
-                           : 1.0;
-  return out;
 }
 
 // ---------------------------------------------------------------------
@@ -1395,33 +1152,19 @@ int WriteBenchPerfJson(const char* path_override) {
     }
   });
 
-  // End-to-end replay throughput. The fingerprints pin the simulated
-  // outcome of the measured runs (and the overhead arms below).
+  // The seed build's eco replay fingerprint: every overhead gate's
+  // instrumented arm must reproduce it. The same run is pinned, with the
+  // no-power-saving one, in bench/golden_replay.txt.
   constexpr uint64_t kSeedReplayEcoFingerprint = 0xe44f2708f6e0f001ull;
-  constexpr uint64_t kSeedReplayNpsFingerprint = 0x5da2bb45a09019c0ull;
-  ReplayFigure eco = MeasureReplayThroughput(true);
-  ReplayFigure nps = MeasureReplayThroughput(false);
-  if (eco.fingerprint != kSeedReplayEcoFingerprint ||
-      nps.fingerprint != kSeedReplayNpsFingerprint) {
-    std::fprintf(stderr,
-                 "BENCH_perf: replay outcome diverged from the seed build "
-                 "(eco fp %016llx want %016llx, nps fp %016llx want "
-                 "%016llx)\n",
-                 static_cast<unsigned long long>(eco.fingerprint),
-                 static_cast<unsigned long long>(kSeedReplayEcoFingerprint),
-                 static_cast<unsigned long long>(nps.fingerprint),
-                 static_cast<unsigned long long>(kSeedReplayNpsFingerprint));
-    std::exit(1);
-  }
 
   // Telemetry overhead: the eco replay with a recorder attached (default
   // class mask, the --telemetry configuration) vs without.
   const OverheadFigure telemetry_overhead = MeasureOverhead(
       "telemetry_overhead", kSeedReplayEcoFingerprint,
-      [] { return MeasureReplayThroughput(true); },
+      [] { return MeasureReplayThroughput(); },
       [](uint64_t* tally) {
         telemetry::Recorder recorder;  // fresh rings per repetition
-        ReplayFigure on = MeasureReplayThroughput(true, &recorder);
+        ReplayFigure on = MeasureReplayThroughput(&recorder);
         *tally = recorder.recorded();
         return on;
       });
@@ -1436,12 +1179,12 @@ int WriteBenchPerfJson(const char* path_override) {
   const OverheadFigure live_overhead = MeasureOverhead(
       "live_ledger_overhead", kSeedReplayEcoFingerprint,
       [] {
-        return MeasureReplayThroughput(true, nullptr,
+        return MeasureReplayThroughput(nullptr,
                                        ReplayInstrument::kLiveRecorder);
       },
       [](uint64_t* tally) {
         ReplayFigure on = MeasureReplayThroughput(
-            true, nullptr, ReplayInstrument::kLiveConsumer);
+            nullptr, ReplayInstrument::kLiveConsumer);
         if (telemetry::Recorder::kEnabled && on.rolling_windows <= 0) {
           std::fprintf(stderr,
                        "BENCH_perf: live consumer closed no rolling windows "
@@ -1458,50 +1201,14 @@ int WriteBenchPerfJson(const char* path_override) {
   // fingerprint check proves it.
   const OverheadFigure profile_overhead = MeasureOverhead(
       "profile_overhead", kSeedReplayEcoFingerprint,
-      [] { return MeasureReplayThroughput(true); },
+      [] { return MeasureReplayThroughput(); },
       [](uint64_t* tally) {
         telemetry::profile::Profiler profiler;  // fresh rings per repetition
         ReplayFigure on = MeasureReplayThroughput(
-            true, nullptr, ReplayInstrument::kPassedRecorder, &profiler);
+            nullptr, ReplayInstrument::kPassedRecorder, &profiler);
         *tally = profiler.recorded();
         return on;
       });
-
-  // Shard-scaling figure: S=1 vs S=8 on the 120-enclosure run, gated on
-  // both shard counts producing the same simulated outcome (integer
-  // counters exact, per-enclosure energies bitwise — the run is inside
-  // the exact-equivalence domain by construction). Both runs carry a
-  // phase profiler, which feeds the sharded_profile contention figure
-  // below AND extends the equality gate to profiled sharded replays.
-  replay::ExperimentMetrics sharded_one, sharded_eight;
-  telemetry::profile::Profiler shard1_profiler, shard8_profiler;
-  ReplayFigure shard1 =
-      MeasureShardedReplayThroughput(1, &sharded_one, &shard1_profiler);
-  ReplayFigure shard8 =
-      MeasureShardedReplayThroughput(8, &sharded_eight, &shard8_profiler);
-  if (sharded_one.logical_ios != sharded_eight.logical_ios ||
-      sharded_one.physical_batches != sharded_eight.physical_batches ||
-      sharded_one.spinups != sharded_eight.spinups ||
-      sharded_one.enclosure_energy != sharded_eight.enclosure_energy) {
-    std::fprintf(stderr,
-                 "BENCH_perf: sharded replay (S=8) diverged from serial "
-                 "(lios %lld/%lld phys %lld/%lld spin %lld/%lld "
-                 "encE %.17g/%.17g)\n",
-                 static_cast<long long>(sharded_one.logical_ios),
-                 static_cast<long long>(sharded_eight.logical_ios),
-                 static_cast<long long>(sharded_one.physical_batches),
-                 static_cast<long long>(sharded_eight.physical_batches),
-                 static_cast<long long>(sharded_one.spinups),
-                 static_cast<long long>(sharded_eight.spinups),
-                 sharded_one.enclosure_energy,
-                 sharded_eight.enclosure_energy);
-    std::exit(1);
-  }
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  const ShardedProfileStats sharded_profile_s1 =
-      ComputeShardedProfileStats(shard1_profiler.Drain());
-  const ShardedProfileStats sharded_profile_s8 =
-      ComputeShardedProfileStats(shard8_profiler.Drain());
 
   // Fleet-scale planner figure: indexed vs legacy stable_sort placement
   // on synthetic 1k/100k and 10k/1M fleets, gated on identical plans.
@@ -1549,59 +1256,6 @@ int WriteBenchPerfJson(const char* path_override) {
                stream_batch_rate);
   std::fprintf(out, "    \"batch_speedup\": %.2f\n",
                stream_batch_rate / stream_next_rate);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"replay_end_to_end\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_20min\",\n");
-  std::fprintf(out, "    \"logical_ios_per_run\": %lld,\n",
-               static_cast<long long>(eco.logical_ios));
-  std::fprintf(out, "    \"eco_storage_lios_per_sec\": %.0f,\n",
-               eco.lios_per_sec);
-  std::fprintf(out, "    \"no_power_saving_lios_per_sec\": %.0f\n",
-               nps.lios_per_sec);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sharded_replay\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_120enc_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"host_cpus\": %u,\n", host_cpus);
-  std::fprintf(out, "    \"logical_ios_per_run\": %lld,\n",
-               static_cast<long long>(shard1.logical_ios));
-  std::fprintf(out, "    \"shards1_lios_per_sec\": %.0f,\n",
-               shard1.lios_per_sec);
-  std::fprintf(out, "    \"shards8_lios_per_sec\": %.0f,\n",
-               shard8.lios_per_sec);
-  std::fprintf(out, "    \"speedup\": %.2f\n",
-               shard8.lios_per_sec / shard1.lios_per_sec);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sharded_profile\": {\n");
-  std::fprintf(out, "    \"workload\": \"file_server_120enc_20min\",\n");
-  std::fprintf(out, "    \"policy\": \"eco_storage\",\n");
-  std::fprintf(out, "    \"host_cpus\": %u,\n", host_cpus);
-  std::fprintf(out, "    \"enabled\": %s,\n",
-               telemetry::profile::Profiler::kEnabled ? "true" : "false");
-  std::fprintf(out, "    \"cases\": [\n");
-  const ShardedProfileStats* profile_cases[] = {&sharded_profile_s1,
-                                                &sharded_profile_s8};
-  const int profile_case_shards[] = {1, 8};
-  for (int i = 0; i < 2; ++i) {
-    const ShardedProfileStats& c = *profile_cases[i];
-    std::fprintf(out,
-                 "      {\"shards\": %d, \"spans\": %llu, \"epochs\": %lld, "
-                 "\"ingest_ms\": %.1f, \"scatter_ms\": %.1f, "
-                 "\"lane_busy_ms\": [",
-                 profile_case_shards[i],
-                 static_cast<unsigned long long>(c.spans),
-                 static_cast<long long>(c.epochs), c.ingest_ms,
-                 c.scatter_ms);
-    for (size_t l = 0; l < c.lane_busy_ms.size(); ++l) {
-      std::fprintf(out, "%s%.1f", l == 0 ? "" : ", ", c.lane_busy_ms[l]);
-    }
-    std::fprintf(out,
-                 "], \"barrier_wait_ms\": %.1f, \"merge_ms\": %.1f, "
-                 "\"period_end_ms\": %.1f, \"imbalance_mean\": %.2f}%s\n",
-                 c.barrier_wait_ms, c.merge_ms, c.period_end_ms,
-                 c.imbalance_mean, i == 0 ? "," : "");
-  }
-  std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
   WriteOverheadJson(out, telemetry_overhead, telemetry::Recorder::kEnabled,
                     "events_recorded");
@@ -1669,25 +1323,9 @@ int WriteBenchPerfJson(const char* path_override) {
               static_cast<long long>(stream_records),
               stream_batch_rate / 1e6, stream_next_rate / 1e6,
               stream_batch_rate / stream_next_rate);
-  std::printf("replay end-to-end: eco %.2fM lios/s, no_power_saving %.2fM "
-              "lios/s\n",
-              eco.lios_per_sec / 1e6, nps.lios_per_sec / 1e6);
-  std::printf("sharded replay (120 enclosures, %u host cpus): S=8 %.2fM "
-              "vs S=1 %.2fM lios/s (%.2fx)\n",
-              host_cpus, shard8.lios_per_sec / 1e6,
-              shard1.lios_per_sec / 1e6,
-              shard8.lios_per_sec / shard1.lios_per_sec);
   PrintOverhead(telemetry_overhead, "telemetry", "events/run");
   PrintOverhead(live_overhead, "live-ledger", "rolling windows");
   PrintOverhead(profile_overhead, "profile", "spans/run");
-  std::printf("sharded profile (S=8, %zu lanes): busy max/mean imbalance "
-              "%.2f, barrier wait %.1f ms, merge %.1f ms, period ends "
-              "%.1f ms over %lld epochs\n",
-              sharded_profile_s8.lane_busy_ms.size(),
-              sharded_profile_s8.imbalance_mean,
-              sharded_profile_s8.barrier_wait_ms,
-              sharded_profile_s8.merge_ms, sharded_profile_s8.period_end_ms,
-              static_cast<long long>(sharded_profile_s8.epochs));
   for (int i = 0; i < 2; ++i) {
     const PlannerScaleCase& c = *planner_cases[i];
     std::printf("planner scale (%d enclosures, %d items, %lld movers): "
@@ -1734,27 +1372,15 @@ int WriteBenchPerfJson(const char* path_override) {
 int main(int argc, char** argv) {
   // --check / --record bypass google-benchmark entirely: they run the
   // bit-identical replay regression gate (see bench/replay_check.h).
-  // --replay prints the end-to-end throughput figures only.
   // --json[=path] also skips google-benchmark and machine-writes the
   // BENCH_perf.json schema (the sanctioned way to regenerate the file).
-  // --shards=S (with --check / --record) runs the gate on the sharded
-  // engine; each shard count has its own golden file because sharded FP
-  // reductions re-associate relative to serial.
   std::string golden_path;
   std::string json_path;
-  bool check = false, record = false, replay_only = false, json_only = false;
-  const int shards = ecostore::bench::ParseShardsFlag(argc, argv);
-  // --profile=<base> attaches the wall-clock phase profiler to the eco
-  // replay run and writes <base>.profile.jsonl + .profile.trace.json.
-  // Implies --replay (the profiled figure is the end-to-end one).
-  const std::string profile_base =
-      ecostore::bench::ParseProfileFlag(argc, argv);
-  if (!profile_base.empty()) replay_only = true;
+  bool check = false, record = false, json_only = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);
     if (arg == "--check") check = true;
     else if (arg == "--record") record = true;
-    else if (arg == "--replay") replay_only = true;
     else if (arg == "--json") json_only = true;
     else if (arg.rfind("--json=", 0) == 0) {
       json_only = true;
@@ -1763,66 +1389,21 @@ int main(int argc, char** argv) {
       golden_path = arg.substr(9);
     }
   }
-  if (golden_path.empty()) {
-    golden_path = shards > 1 ? "bench/golden_replay_shards" +
-                                   std::to_string(shards) + ".txt"
-                             : "bench/golden_replay.txt";
-  }
   if (check || record) {
+    // --shards=S runs the gate on the sharded engine; each shard count
+    // has its own golden file because sharded FP reductions re-associate
+    // relative to serial.
+    const int shards = ecostore::bench::ParseShardsFlag(argc, argv);
+    if (golden_path.empty()) {
+      golden_path = shards > 1 ? "bench/golden_replay_shards" +
+                                     std::to_string(shards) + ".txt"
+                               : "bench/golden_replay.txt";
+    }
     return ecostore::bench::ReplayCheckMain(golden_path, record, shards);
   }
   if (json_only) {
     return ecostore::WriteBenchPerfJson(json_path.empty() ? nullptr
                                                           : json_path.c_str());
-  }
-  if (replay_only) {
-    ecostore::telemetry::profile::Profiler profiler;
-    ecostore::telemetry::profile::Profiler* attach =
-        profile_base.empty() ? nullptr : &profiler;
-    // --shards=S profiles the sharded engine (lane spans + contention)
-    // instead of the serial pipeline.
-    ecostore::ReplayFigure eco =
-        shards > 1
-            ? ecostore::MeasureShardedReplayThroughput(shards, nullptr,
-                                                       attach)
-            : ecostore::MeasureReplayThroughput(
-                  true, nullptr,
-                  ecostore::ReplayInstrument::kPassedRecorder, attach);
-    ecostore::ReplayFigure base = ecostore::MeasureReplayThroughput(false);
-    std::printf("replay end-to-end (file-server 20 min, %lld logical IOs "
-                "per run):\n  eco_storage      %.0f lios/s (fp %016llx)\n"
-                "  no_power_saving  %.0f lios/s (fp %016llx)\n",
-                static_cast<long long>(eco.logical_ios), eco.lios_per_sec,
-                static_cast<unsigned long long>(eco.fingerprint),
-                base.lios_per_sec,
-                static_cast<unsigned long long>(base.fingerprint));
-    if (attach != nullptr) {
-      ecostore::telemetry::profile::ProfileMeta meta;
-      meta.workload =
-          shards > 1 ? "file_server_120enc_20min" : "file_server_20min";
-      meta.policy = "eco_storage";
-      meta.shards = shards;
-      meta.host_cpus = std::thread::hardware_concurrency();
-      meta.wall_ns = static_cast<int64_t>(
-          static_cast<double>(eco.logical_ios) / eco.lios_per_sec * 1e9);
-      meta.dropped = attach->dropped();
-      std::vector<ecostore::telemetry::profile::Span> spans =
-          attach->Drain();
-      meta.spans = static_cast<int64_t>(spans.size());
-      ecostore::Status st = ecostore::telemetry::profile::ExportProfile(
-          profile_base, meta, spans);
-      if (!st.ok()) {
-        std::fprintf(stderr, "profile export failed: %s\n",
-                     st.message().c_str());
-        return 1;
-      }
-      std::printf("profile: %lld spans (%lld dropped) -> "
-                  "%s.profile.jsonl + %s.profile.trace.json\n",
-                  static_cast<long long>(meta.spans),
-                  static_cast<long long>(meta.dropped),
-                  profile_base.c_str(), profile_base.c_str());
-    }
-    return 0;
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -37,9 +37,9 @@ inline int ParseThreadsFlag(int argc, char** argv) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// Parses a `--shards=S` argument: the intra-run shard count for the
-/// sharded replay engine (replay::ShardedExperiment). Default 1 ==
-/// today's serial engine; distinct from `--threads`, which runs whole
+/// Parses a `--shards=S` argument: the lane count of the sharded replay
+/// engine for `bench_micro --check/--record`, the only reader. Default
+/// 1 == the serial engine; distinct from `--threads`, which runs whole
 /// experiments concurrently. Values below 1 are floored to 1.
 inline int ParseShardsFlag(int argc, char** argv) {
   const std::string v = ParseFlagValue(argc, argv, "--shards=");

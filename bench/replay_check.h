@@ -38,6 +38,7 @@
 #include "policies/ddr_policy.h"
 #include "policies/pdc_policy.h"
 #include "replay/metrics.h"
+#include "replay/sharded_experiment.h"
 #include "replay/suite.h"
 #include "telemetry/analysis/latency_histogram.h"
 #include "telemetry/analysis/rolling_summary.h"
@@ -287,23 +288,36 @@ inline Result<std::vector<ReplayCheckRun>> RunReplayCheckSuite(
 
   // One suite worker on purpose: the gate compares bit-exact
   // fingerprints, so it must not depend on the cross-experiment thread
-  // pool (PR 1 proved parallel == serial, but the gate should not assume
-  // what it could itself be testing). The sharded engine's own worker
-  // count is result-invariant by contract, which the shards>1 gate
-  // exercises on every CI run.
-  replay::SuiteOptions suite_options{1};
-  suite_options.shards = shards;
-  auto runs = replay::RunExperiments(jobs, suite_options);
-  if (!runs.ok()) return runs.status();
+  // pool (parallel == serial is suite_test's claim, and the gate should
+  // not assume what it could itself be testing). With shards > 1 the
+  // jobs run one after another on the sharded engine, whose own worker
+  // count is result-invariant by contract; the shards>1 gate exercises
+  // that on every CI run.
+  std::vector<replay::ExperimentMetrics> metrics;
+  if (shards > 1) {
+    for (const replay::ExperimentJob& job : jobs) {
+      auto workload = job.workload();
+      if (!workload.ok()) return workload.status();
+      std::unique_ptr<policies::StoragePolicy> policy = job.policy();
+      replay::ShardedExperiment experiment(workload.value().get(),
+                                           policy.get(), job.config, shards);
+      auto run = experiment.Run();
+      if (!run.ok()) return run.status();
+      metrics.push_back(std::move(run).value());
+    }
+  } else {
+    auto runs = replay::RunExperiments(jobs, replay::SuiteOptions{1});
+    if (!runs.ok()) return runs.status();
+    metrics = std::move(runs).value();
+  }
 
   const char* dump = std::getenv("ECOSTORE_REPLAY_DUMP");
   std::vector<ReplayCheckRun> out;
-  for (size_t i = 0; i < runs.value().size(); ++i) {
+  for (size_t i = 0; i < metrics.size(); ++i) {
     if (dump != nullptr && labels[i].find(dump) != std::string::npos) {
-      DumpMetrics(labels[i], runs.value()[i]);
+      DumpMetrics(labels[i], metrics[i]);
     }
-    out.push_back(ReplayCheckRun{labels[i],
-                                 MetricsFingerprint(runs.value()[i])});
+    out.push_back(ReplayCheckRun{labels[i], MetricsFingerprint(metrics[i])});
   }
   return out;
 }

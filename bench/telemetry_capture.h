@@ -223,7 +223,6 @@ inline int CaptureTelemetry(const std::string& base, replay::ExperimentJob job,
     telemetry::profile::ProfileMeta pmeta;
     pmeta.workload = metrics.value().workload;
     pmeta.policy = metrics.value().policy;
-    pmeta.shards = 1;
     pmeta.host_cpus = std::thread::hardware_concurrency();
     pmeta.wall_ns =
         static_cast<int64_t>(metrics.value().wall_seconds * 1e9);

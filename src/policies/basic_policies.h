@@ -29,6 +29,10 @@ class NoPowerSavingPolicy : public StoragePolicy {
     (void)actuator;
     return initial_period();
   }
+
+  /// The snapshot is never read, so the engine need not buffer the
+  /// period's logical I/O.
+  bool wants_logical_trace() const override { return false; }
 };
 
 /// \brief hd-idle-style baseline (ablation): every enclosure spins down
@@ -55,6 +59,10 @@ class FixedTimeoutPolicy : public StoragePolicy {
     (void)actuator;
     return initial_period();
   }
+
+  /// The snapshot is never read, so the engine need not buffer the
+  /// period's logical I/O.
+  bool wants_logical_trace() const override { return false; }
 };
 
 }  // namespace ecostore::policies

@@ -52,6 +52,10 @@ class DdrPolicy : public StoragePolicy {
     return placement_determinations_;
   }
 
+  /// DDR reads the storage monitor's per-enclosure counters, never the
+  /// logical trace.
+  bool wants_logical_trace() const override { return false; }
+
  private:
   Options options_;
   PolicyActuator* actuator_ = nullptr;

@@ -5,7 +5,6 @@
 
 #include "common/thread_pool.h"
 #include "core/eco_storage_policy.h"
-#include "replay/sharded_experiment.h"
 #include "policies/basic_policies.h"
 #include "policies/ddr_policy.h"
 #include "policies/pdc_policy.h"
@@ -14,15 +13,10 @@ namespace ecostore::replay {
 
 namespace {
 
-Result<ExperimentMetrics> RunOneJob(const ExperimentJob& job, int shards) {
+Result<ExperimentMetrics> RunOneJob(const ExperimentJob& job) {
   Result<std::unique_ptr<workload::Workload>> workload = job.workload();
   if (!workload.ok()) return workload.status();
   std::unique_ptr<policies::StoragePolicy> policy = job.policy();
-  if (shards > 1) {
-    ShardedExperiment experiment(workload.value().get(), policy.get(),
-                                 job.config, shards);
-    return experiment.Run();
-  }
   Experiment experiment(workload.value().get(), policy.get(), job.config);
   return experiment.Run();
 }
@@ -55,7 +49,7 @@ Result<std::vector<ExperimentMetrics>> RunExperiments(
     std::vector<ExperimentMetrics> results;
     results.reserve(jobs.size());
     for (const ExperimentJob& job : jobs) {
-      Result<ExperimentMetrics> metrics = RunOneJob(job, options.shards);
+      Result<ExperimentMetrics> metrics = RunOneJob(job);
       if (!metrics.ok()) return metrics.status();
       results.push_back(std::move(metrics).value());
     }
@@ -67,8 +61,7 @@ Result<std::vector<ExperimentMetrics>> RunExperiments(
   {
     ThreadPool pool(options.num_threads);
     for (const ExperimentJob& job : jobs) {
-      futures.push_back(pool.Submit(
-          [&job, &options] { return RunOneJob(job, options.shards); }));
+      futures.push_back(pool.Submit([&job] { return RunOneJob(job); }));
     }
     // Collect before the pool dies: the destructor discards queued tasks,
     // and get() blocks until each job finished (or rethrows its error).

@@ -45,11 +45,6 @@ struct SuiteOptions {
   /// Worker threads; 1 (the default) runs everything serially in the
   /// calling thread, byte-identical to RunSuite.
   int num_threads = 1;
-  /// Intra-run shard count: > 1 replays each experiment on the sharded
-  /// engine (replay::ShardedExperiment) with this many lanes; 1 keeps
-  /// the serial Experiment. Orthogonal to num_threads, which parallelises
-  /// *across* experiments.
-  int shards = 1;
 };
 
 /// One independent experiment: its own workload clone, its own policy,

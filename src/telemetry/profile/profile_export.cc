@@ -42,7 +42,6 @@ Status WriteProfileJsonl(const std::string& path, const ProfileMeta& meta,
   line = "{\"type\":\"profile_meta\"";
   line += ",\"workload\":\"" + meta.workload + "\"";
   line += ",\"policy\":\"" + meta.policy + "\"";
-  AppendKV(&line, "shards", meta.shards);
   AppendKV(&line, "host_cpus", meta.host_cpus);
   AppendKV(&line, "wall_ns", meta.wall_ns);
   AppendKVU(&line, "spans", spans.size());
@@ -92,7 +91,6 @@ Status ParseProfileJsonl(const std::string& path, ProfileMeta* meta,
     if (type == "profile_meta") {
       meta->workload = json.Str("workload");
       meta->policy = json.Str("policy");
-      meta->shards = static_cast<int>(json.Int("shards"));
       meta->host_cpus = static_cast<int>(json.Int("host_cpus"));
       meta->wall_ns = json.Int("wall_ns");
       meta->spans = json.U64("spans");

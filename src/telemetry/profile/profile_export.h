@@ -30,7 +30,6 @@ namespace ecostore::telemetry::profile {
 struct ProfileMeta {
   std::string workload;
   std::string policy;
-  int shards = 0;  ///< 0 / 1 == serial engine
   int host_cpus = 0;
   int64_t wall_ns = 0;  ///< whole-run wall time (engine entry to exit)
   uint64_t spans = 0;

@@ -22,7 +22,7 @@
 //    by tests/profile_disabled_test.cc) and every ScopedPhase folds away.
 //
 // The profiler is bound per *thread*, not threaded through call
-// signatures: Experiment::Run / ShardedExperiment workers install it with
+// signatures: Experiment::Run / sharded lane workers install it with
 // ScopedThreadProfiler, and interior phases (classify-finalise, plan,
 // migrate, flush — core/ code with no profiler parameter) just open a
 // ScopedPhase, which is inert unless the thread is bound. The profiler

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "policies/basic_policies.h"
+#include "policies/ddr_policy.h"
+#include "policies/pdc_policy.h"
 #include "replay/experiment.h"
 #include "replay/metrics.h"
 #include "workload/file_server_workload.h"
@@ -78,6 +80,24 @@ TEST(ExperimentTest, ExplicitDurationOverridesWorkload) {
   auto metrics = experiment.Run();
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics.value().duration, 1 * kMinute);
+}
+
+TEST(ExperimentTest, TraceCaptureOnlyForPoliciesThatReadIt) {
+  auto workload = workload::FileServerWorkload::Create(TinyFsConfig());
+  ASSERT_TRUE(workload.ok());
+  auto captures = [&](policies::StoragePolicy* policy) {
+    Experiment experiment(workload.value().get(), policy, ExperimentConfig{});
+    EXPECT_TRUE(experiment.Run().ok());
+    return experiment.application_monitor().capture();
+  };
+  policies::NoPowerSavingPolicy no_saving;
+  policies::FixedTimeoutPolicy fixed_timeout;
+  policies::DdrPolicy ddr(policies::DdrPolicy::Options{});
+  policies::PdcPolicy pdc(policies::PdcPolicy::Options{});
+  EXPECT_FALSE(captures(&no_saving));
+  EXPECT_FALSE(captures(&fixed_timeout));
+  EXPECT_FALSE(captures(&ddr));
+  EXPECT_TRUE(captures(&pdc));  // PDC ranks items from the period trace
 }
 
 TEST(MetricsTest, IntervalCdfSumsGapsAboveThreshold) {

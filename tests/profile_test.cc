@@ -162,7 +162,6 @@ TEST(ProfileExportTest, JsonlRoundTrip) {
   ProfileMeta meta;
   meta.workload = "file_server_20min";
   meta.policy = "eco_storage";
-  meta.shards = 8;
   meta.host_cpus = 16;
   meta.wall_ns = 1234567890;
   meta.dropped = 3;
@@ -185,7 +184,6 @@ TEST(ProfileExportTest, JsonlRoundTrip) {
   ASSERT_TRUE(ParseProfileJsonl(path, &parsed, &parsed_spans).ok());
   EXPECT_EQ(parsed.workload, meta.workload);
   EXPECT_EQ(parsed.policy, meta.policy);
-  EXPECT_EQ(parsed.shards, meta.shards);
   EXPECT_EQ(parsed.host_cpus, meta.host_cpus);
   EXPECT_EQ(parsed.wall_ns, meta.wall_ns);
   EXPECT_EQ(parsed.spans, meta.spans);

@@ -16,6 +16,7 @@
 #include "replay/experiment.h"
 #include "replay/metrics.h"
 #include "replay/sharded_experiment.h"
+#include "telemetry/profile/profiler.h"
 #include "telemetry/recorder.h"
 #include "workload/file_server_workload.h"
 
@@ -228,6 +229,18 @@ TEST(ShardedExperimentTest, MatchesSerialWithEcoPolicyAndMigrations) {
     core::EcoStoragePolicy sharded_policy(pm);
     ExperimentMetrics sharded = RunSharded(fs, &sharded_policy, config, shards);
     ExpectEquivalent(serial, sharded);
+  }
+
+  // A profiled S=8 replay must match the unprofiled serial run: recording
+  // lane, barrier and merge spans cannot change the outcome.
+  SCOPED_TRACE("shards=8, profiled");
+  telemetry::profile::Profiler profiler;
+  ExperimentConfig profiled = config;
+  profiled.profiler = &profiler;
+  core::EcoStoragePolicy profiled_policy(pm);
+  ExpectEquivalent(serial, RunSharded(fs, &profiled_policy, profiled, 8));
+  if (telemetry::profile::Profiler::kEnabled) {
+    EXPECT_GT(profiler.recorded(), 0u);
   }
 }
 
